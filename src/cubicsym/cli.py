@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,13 +37,6 @@ def _read_group(path: str) -> MatGroup:
 
 def _read_matrix(path: str) -> CycMatrix:
     return CycMatrix.parse(Path(path).read_text())
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CUBICSYM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -345,12 +336,7 @@ def cmd_run(args) -> int:
         print(f"cannot read manifest: {ex}", file=sys.stderr)
         return EXIT_INPUT
     tasks = manifest["tasks"] if isinstance(manifest, dict) else manifest
-    workers = _threads()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
+    results = [_run_task(t) for t in tasks]
     all_ok = True
     for i, res in enumerate(results):
         res_out = {"index": i, **res}

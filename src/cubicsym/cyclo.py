@@ -8,24 +8,10 @@ canonical, so equality and hashing are plain tuple comparisons.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Mapping
-
-
-def totient(n: int) -> int:
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def divisors(n: int) -> list[int]:
@@ -336,13 +322,6 @@ class CycNum:
         raw = {i * step: Fraction(c, self.den) for i, c in enumerate(self.num) if c}
         return reduce(raw, m)
 
-    def approx(self) -> complex:
-        """Floating-point embedding, for debugging only."""
-        n = self.conductor
-        return sum(
-            c * cmath.exp(2j * cmath.pi * i / n) for i, c in enumerate(self.num) if c
-        ) / self.den
-
     def encode(self) -> str:
         """Textual form `N d c0 c1 ... c_{phi(N)-1}` meaning (sum c_i zeta^i)/d."""
         return " ".join([str(self.conductor), str(self.den)] + [str(c) for c in self.num])
@@ -433,3 +412,60 @@ def multiplicative_order(a: CycNum, cap: int = 10_000) -> int | None:
             return k
         x = x * a
     return None
+
+
+# -- reduction modulo a prime --------------------------------------------------
+
+MODULAR_PRIME_BOUND = 2**31
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+class ModularEmbedding:
+    """The ring map Z[zeta_N] -> F_p with zeta_N -> r, extended to the values
+    whose denominator is prime to p.
+
+    p is the largest prime below MODULAR_PRIME_BOUND with p = 1 (mod N), so
+    Phi_N splits into distinct linear factors mod p; r is a primitive N-th
+    root of unity mod p, hence a root of Phi_N, and the map is well defined.
+    """
+
+    __slots__ = ("conductor", "p", "r", "powers")
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("conductor must be >= 1")
+        p = (MODULAR_PRIME_BOUND - 2) // n * n + 1
+        while p > 1 and not _is_prime(p):
+            p -= n
+        if p == 1:
+            raise ValueError(f"no prime = 1 (mod {n}) below {MODULAR_PRIME_BOUND}")
+        proper = divisors(n)[:-1]
+        a = 2
+        while True:
+            r = pow(a, (p - 1) // n, p)
+            if all(pow(r, k, p) != 1 for k in proper):
+                break
+            a += 1
+        self.conductor = n
+        self.p = p
+        self.r = r
+        self.powers = tuple(pow(r, i, p) for i in range(context(n).phi))
+
+    def __call__(self, x: CycNum) -> int | None:
+        """Image of x in [0, p), or None when p divides its denominator."""
+        if x.conductor != self.conductor:
+            raise ValueError(f"conductor mismatch: {x.conductor} vs {self.conductor}")
+        p = self.p
+        if x.den % p == 0:
+            return None
+        s = sum(c * w for c, w in zip(x.num, self.powers))
+        return s * pow(x.den, -1, p) % p
+
+
+@lru_cache(maxsize=None)
+def modular_embedding(n: int) -> ModularEmbedding:
+    """The embedding for conductor n, built on first use."""
+    return ModularEmbedding(n)

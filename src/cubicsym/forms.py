@@ -268,11 +268,6 @@ class CycMatrix:
     def entry(self, i: int, j: int) -> CycNum:
         return self.rows[i][j]
 
-    def transpose(self) -> "CycMatrix":
-        m = self.dim
-        return CycMatrix([[self.rows[j][i] for j in range(m)] for i in range(m)],
-                         self.conductor)
-
     def is_diagonal(self) -> bool:
         return all(self.rows[i][j].is_zero()
                    for i in range(self.dim) for j in range(self.dim) if i != j)

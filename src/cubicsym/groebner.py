@@ -1,18 +1,22 @@
-"""Plain Buchberger over Q(zeta_N), graded-reverse-lex only.
+"""Plain Buchberger over Q(zeta_N) or F_p, graded-reverse-lex only.
 
-Pair selection uses the sugar strategy; every reduction renormalizes to a monic
-leading coefficient.  All entry points take a step budget and raise
-BudgetExhausted instead of returning a wrong or partial basis.
+Coefficients are CycNum values, or with `modulus=p` plain ints standing for
+residues mod p; the one loop serves both fields.  Pair selection uses the
+sugar strategy; every reduction renormalizes to a monic leading coefficient.
+All entry points take a step budget and raise BudgetExhausted instead of
+returning a wrong or partial basis.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import add, le, sub
 from typing import Sequence
 
 from .cyclo import CycNum
+from .forms import grevlex_key
 
-Terms = dict[tuple[int, ...], CycNum]
+Terms = dict[tuple[int, ...], CycNum | int]
 
 
 class BudgetExhausted(Exception):
@@ -21,20 +25,16 @@ class BudgetExhausted(Exception):
         self.steps = steps
 
 
-def _key(e: tuple[int, ...]):
-    return (sum(e), tuple(-c for c in reversed(e)))
-
-
 def _neg_key(e: tuple[int, ...]):
     return (-sum(e), tuple(c for c in reversed(e)))
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class GPoly:
@@ -42,12 +42,17 @@ class GPoly:
 
     __slots__ = ("terms", "lm", "sugar")
 
-    def __init__(self, terms: Terms, sugar: int | None = None):
+    def __init__(self, terms: Terms, sugar: int | None = None,
+                 modulus: int | None = None):
         if not terms:
             raise ValueError("zero polynomial")
-        lm = max(terms, key=_key)
+        lm = max(terms, key=grevlex_key)
         lc = terms[lm]
-        if not lc.is_one():
+        if modulus is not None:
+            if lc != 1:
+                inv = pow(lc, -1, modulus)
+                terms = {e: c * inv % modulus for e, c in terms.items()}
+        elif not lc.is_one():
             inv = lc.inv()
             terms = {e: c * inv for e, c in terms.items()}
         self.terms = terms
@@ -68,8 +73,13 @@ class _Budget:
             raise BudgetExhausted(self.spent)
 
 
-def normal_form(terms: Terms, basis: Sequence[GPoly], budget: _Budget) -> Terms:
-    """Full normal form (head and tail reduced) against basis."""
+def normal_form(terms: Terms, basis: Sequence[GPoly], budget: _Budget,
+                modulus: int | None = None) -> Terms:
+    """Full normal form (head and tail reduced) against basis.
+
+    Mod p the working coefficients are left unreduced, and each one is reduced
+    once, when its monomial leaves the heap: every update adds less than p^2,
+    so they stay small."""
     work = dict(terms)
     heap = [(_neg_key(e)) + (e,) for e in work]
     heapq.heapify(heap)
@@ -78,7 +88,9 @@ def normal_form(terms: Terms, basis: Sequence[GPoly], budget: _Budget) -> Terms:
         entry = heapq.heappop(heap)
         e = entry[-1]
         c = work.get(e)
-        if c is None or c.is_zero():
+        if c is not None and modulus is not None:
+            c %= modulus
+        if not c:
             work.pop(e, None)
             continue
         red = None
@@ -91,12 +103,12 @@ def normal_form(terms: Terms, basis: Sequence[GPoly], budget: _Budget) -> Terms:
             del work[e]
             continue
         budget.spend()
-        shift = tuple(x - y for x, y in zip(e, red.lm))
+        shift = tuple(map(sub, e, red.lm))
         del work[e]
         for ge, gc in red.terms.items():
             if ge == red.lm:
                 continue
-            te = tuple(x + y for x, y in zip(ge, shift))
+            te = tuple(map(add, ge, shift))
             v = c * gc
             # te < e in grevlex, so te was not popped yet and cannot sit in out
             if te in work:
@@ -104,20 +116,20 @@ def normal_form(terms: Terms, basis: Sequence[GPoly], budget: _Budget) -> Terms:
             else:
                 work[te] = -v
                 heapq.heappush(heap, _neg_key(te) + (te,))
-    return {e: c for e, c in out.items() if not c.is_zero()}
+    return out
 
 
 def _s_poly_terms(f: GPoly, g: GPoly, lcm: tuple[int, ...]) -> Terms:
-    sf = tuple(x - y for x, y in zip(lcm, f.lm))
-    sg = tuple(x - y for x, y in zip(lcm, g.lm))
+    sf = tuple(map(sub, lcm, f.lm))
+    sg = tuple(map(sub, lcm, g.lm))
     terms: Terms = {}
     for e, c in f.terms.items():
-        terms[tuple(x + y for x, y in zip(e, sf))] = c
+        terms[tuple(map(add, e, sf))] = c
     for e, c in g.terms.items():
-        te = tuple(x + y for x, y in zip(e, sg))
+        te = tuple(map(add, e, sg))
         if te in terms:
             v = terms[te] - c
-            if v.is_zero():
+            if not v:
                 del terms[te]
             else:
                 terms[te] = v
@@ -126,14 +138,16 @@ def _s_poly_terms(f: GPoly, g: GPoly, lcm: tuple[int, ...]) -> Terms:
     return terms
 
 
-def buchberger(gens: Sequence[Terms], budget_limit: int = 1_000_000) -> list[GPoly]:
-    """Reduced graded-reverse-lex Groebner basis of the ideal generated by gens."""
+def buchberger(gens: Sequence[Terms], budget_limit: int = 1_000_000,
+               modulus: int | None = None) -> list[GPoly]:
+    """Reduced graded-reverse-lex Groebner basis of the ideal generated by gens,
+    over F_p when modulus = p (gens then hold residues in [0, p))."""
     budget = _Budget(budget_limit)
     basis: list[GPoly] = []
     for terms in gens:
-        nf = normal_form(terms, basis, budget) if basis else dict(terms)
+        nf = normal_form(terms, basis, budget, modulus) if basis else dict(terms)
         if nf:
-            basis.append(GPoly(nf))
+            basis.append(GPoly(nf, modulus=modulus))
     pairs: list[tuple] = []
     pending: set[tuple[int, int]] = set()
 
@@ -142,7 +156,7 @@ def buchberger(gens: Sequence[Terms], budget_limit: int = 1_000_000) -> list[GPo
         for i in range(t):
             f = basis[i]
             lcm = _lcm(f.lm, g.lm)
-            if lcm == tuple(x + y for x, y in zip(f.lm, g.lm)):
+            if lcm == tuple(map(add, f.lm, g.lm)):
                 continue  # coprime leading terms reduce to zero
             deg = sum(lcm)
             sugar = max(f.sugar + deg - sum(f.lm), g.sugar + deg - sum(g.lm))
@@ -172,15 +186,16 @@ def buchberger(gens: Sequence[Terms], budget_limit: int = 1_000_000) -> list[GPo
         if skip:
             continue
         s = _s_poly_terms(basis[i], basis[j], lcm)
-        nf = normal_form(s, basis, budget)
+        nf = normal_form(s, basis, budget, modulus)
         if nf:
-            basis.append(GPoly(nf, sugar=sugar))
+            basis.append(GPoly(nf, sugar=sugar, modulus=modulus))
             push_pairs(len(basis) - 1)
-    return _reduce_basis(basis, budget)
+    return _reduce_basis(basis, budget, modulus)
 
 
-def _reduce_basis(basis: list[GPoly], budget: _Budget) -> list[GPoly]:
-    ordered = sorted(basis, key=lambda g: _key(g.lm))
+def _reduce_basis(basis: list[GPoly], budget: _Budget,
+                  modulus: int | None) -> list[GPoly]:
+    ordered = sorted(basis, key=lambda g: grevlex_key(g.lm))
     kept: list[GPoly] = []
     for g in ordered:
         if not any(_divides(h.lm, g.lm) for h in kept):
@@ -188,10 +203,10 @@ def _reduce_basis(basis: list[GPoly], budget: _Budget) -> list[GPoly]:
     reduced = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        nf = normal_form(g.terms, others, budget)
+        nf = normal_form(g.terms, others, budget, modulus)
         if nf:
-            reduced.append(GPoly(nf))
-    reduced.sort(key=lambda g: _key(g.lm), reverse=True)
+            reduced.append(GPoly(nf, modulus=modulus))
+    reduced.sort(key=lambda g: grevlex_key(g.lm), reverse=True)
     return reduced
 
 

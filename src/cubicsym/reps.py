@@ -484,6 +484,12 @@ def _spot_check_rejection(support, m: int, witness: NonSmoothWitness,
                 "support-level rejection failed on a random invariant member")
 
 
+def _require_cubic(d: int) -> None:
+    # the support conditions L38-i..iv and L310, and the witness forms, are cubic
+    if d != 3:
+        raise ValueError(f"the smoothness filter handles degree 3 only, got degree {d}")
+
+
 def filter_to_nd_reps(classes: Sequence[RepClass], n: int, d: int,
                       gb_budget: int = 1_000_000,
                       structured_limit: int = 64,
@@ -491,6 +497,7 @@ def filter_to_nd_reps(classes: Sequence[RepClass], n: int, d: int,
     """Classify each representation class: reject when the full invariant
     support already violates smoothness, otherwise hunt for a smooth invariant
     witness form; undecided when the search budget runs out."""
+    _require_cubic(d)
     out = []
     for rc in classes:
         m = rc.m
@@ -623,6 +630,7 @@ def classify(spec: AbelianGroupSpec, m: int, d: int,
     exact deduplication runs on the filter survivors; the bulk-rejected total
     is then an upper bound on distinct classes (never affects accepted counts).
     """
+    _require_cubic(d)
     rows, complete = _canonical_rows(spec, m, d, progress)
     rows = rows[_valid_mask(rows, spec)]
     total = int(rows.shape[0])

@@ -4,6 +4,18 @@ Two combinatorial non-smoothness filters for cubics (positive answers are
 certificates of singularity), plus an exact decision through the Jacobian
 criterion: X_F is smooth iff the partials have no common projective zero,
 certified by pure-power leading terms in a graded-reverse-lex Groebner basis.
+
+Before the exact basis over Q(zeta_N), `is_smooth` computes one over F_p,
+through the map zeta_N -> r of `cyclo.modular_embedding`, whose kernel on
+Z[zeta_N] is a prime ideal P above p.  That certificate is one-sided.  The resultant of
+the m partials is an integer polynomial in their coefficients, and reduction
+mod P commutes with it.  Pure powers of every variable mod p mean the reduced
+partials have no common zero over the algebraic closure of F_p, so the
+resultant is not in P, hence not zero, hence X_F is smooth.  Any other outcome
+mod p (no pure-power cover, a partial that vanishes mod p, a denominator
+divisible by p, an exhausted budget) proves nothing, and the exact path
+decides as if the modular run had not happened: every singular verdict,
+witness and exhausted answer comes from the exact computation.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
+from .cyclo import modular_embedding
 from .forms import Form, partial
 from .groebner import BudgetExhausted, buchberger, pure_power_coverage
 
@@ -153,6 +166,29 @@ def jacobian_generators(f: Form) -> list[dict]:
     return [partial(f, i).terms for i in range(f.nvars)]
 
 
+def _smooth_mod_p(partials: Sequence[dict], conductor: int, budget: int) -> bool:
+    """True when the partials reduced mod p have pure powers of every variable
+    in their Groebner basis, which certifies smoothness; False proves nothing."""
+    emb = modular_embedding(conductor)
+    reduced = []
+    for terms in partials:
+        image = {}
+        for e, c in terms.items():
+            v = emb(c)
+            if v is None:
+                return False
+            if v:
+                image[e] = v
+        if not image:
+            return False
+        reduced.append(image)
+    try:
+        gb = buchberger(reduced, budget_limit=budget, modulus=emb.p)
+    except BudgetExhausted:
+        return False
+    return all(pure_power_coverage(gb, len(partials)))
+
+
 def is_smooth(f: Form, budget: int = DEFAULT_BUDGET) -> SmoothResult:
     """Decide smoothness of X_F; honest tri-state (smooth/singular/exhausted)."""
     if f.is_zero():
@@ -171,6 +207,8 @@ def is_smooth(f: Form, budget: int = DEFAULT_BUDGET) -> SmoothResult:
             # F does not involve x_i at all: X_F is a cone
             return SmoothResult("singular", NonSmoothWitness("JacobianZero", (i,)))
         partials.append(p.terms)
+    if _smooth_mod_p(partials, f.conductor, budget):
+        return SmoothResult("smooth")
     try:
         gb = buchberger(partials, budget_limit=budget)
     except BudgetExhausted:

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -10,11 +9,8 @@ from cubicsym.cli import main
 BASE = [sys.executable, "-m", "cubicsym"]
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(BASE + args, capture_output=True, text=True, env=env)
+def run_cli(args):
+    return subprocess.run(BASE + args, capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +72,22 @@ def test_reps_command():
     assert "classes 6 accepted 3" in r.stdout
 
 
+def test_reps_filter_rejects_non_cubic_degree(tmp_path):
+    r = run_cli(["reps", "--abelian", "5", "--vars", "7", "--degree", "4", "--filter"])
+    assert r.returncode == 2
+    assert "degree 4" in r.stderr and "bad exponent vector" not in r.stderr
+    manifest = tmp_path / "quartic.json"
+    manifest.write_text(json.dumps([{"task": "reps-count", "abelian": "5",
+                                     "vars": 7, "degree": 4}]))
+    r = run_cli(["run", str(manifest)])
+    rec = json.loads(r.stdout.splitlines()[0])
+    assert r.returncode == 1 and rec["status"] == "ERROR"
+    assert "degree 4" in rec["result"]
+    # plain enumeration has no cubic-only step
+    r = run_cli(["reps", "--abelian", "2", "--vars", "4", "--degree", "4"])
+    assert r.returncode == 0 and r.stdout.startswith("classes ")
+
+
 def test_example_verify_exit_codes():
     r = run_cli(["example", "verify", "X20"])
     assert r.returncode == 0
@@ -108,11 +120,6 @@ def test_run_manifest(exported, tmp_path):
     lines = [json.loads(ln) for ln in r.stdout.splitlines()]
     assert [ln["status"] for ln in lines] == ["PASS"] * 4
     assert [ln["index"] for ln in lines] == [0, 1, 2, 3]
-    # deterministic under a thread cap, ordering by manifest index
-    r2 = run_cli(["run", str(mpath)], env_extra={"CUBICSYM_THREADS": "3"})
-    assert r2.returncode == 0
-    assert [json.loads(ln)["result"] for ln in r2.stdout.splitlines()] == \
-        [ln["result"] for ln in lines]
 
 
 def test_run_manifest_empty_and_error(tmp_path):

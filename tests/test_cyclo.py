@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicsym.cyclo import (CycNum, common_conductor, cyclotomic_polynomial,
+from cubicsym.cyclo import (MODULAR_PRIME_BOUND, CycNum, common_conductor,
+                            cyclotomic_polynomial, modular_embedding,
                             multiplicative_order, reduce, zeta)
 
 CONDUCTORS = (3, 4, 8, 12, 24, 43)
@@ -81,6 +82,47 @@ def test_embed_is_ring_homomorphism():
             a, b = rand_cyc(rng, n), rand_cyc(rng, n)
             assert (a * b).embed(m) == a.embed(m) * b.embed(m)
             assert (a + b).embed(m) == a.embed(m) + b.embed(m)
+
+
+MODULAR_CONDUCTORS = (1, 12, 24, 60)
+
+
+@st.composite
+def cyc_pair(draw):
+    n = draw(st.sampled_from(MODULAR_CONDUCTORS))
+    phi = len(cyclotomic_polynomial(n)) - 1
+    coeffs = st.lists(st.integers(-10**6, 10**6), min_size=phi, max_size=phi)
+    dens = st.integers(1, 10**4)
+    return (CycNum.from_vector(n, draw(coeffs), draw(dens)),
+            CycNum.from_vector(n, draw(coeffs), draw(dens)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyc_pair())
+def test_modular_embedding_is_ring_homomorphism(pair):
+    a, b = pair
+    emb = modular_embedding(a.conductor)
+    p = emb.p
+    assert emb(a + b) == (emb(a) + emb(b)) % p
+    assert emb(a * b) == emb(a) * emb(b) % p
+    assert emb(-a) == -emb(a) % p
+    assert emb(CycNum.one(a.conductor)) == 1
+
+
+def test_modular_embedding_prime_and_root():
+    for n in MODULAR_CONDUCTORS + CONDUCTORS:
+        emb = modular_embedding(n)
+        p, r = emb.p, emb.r
+        assert p < MODULAR_PRIME_BOUND and p % n == 1 % n
+        assert all(p % q for q in range(2, 46341))  # 46341^2 > 2^31
+        assert pow(r, n, p) == 1
+        assert all(pow(r, k, p) != 1 for k in range(1, n))
+        assert emb(zeta(n)) == r
+    assert modular_embedding(12) is modular_embedding(12)
+    emb = modular_embedding(12)
+    assert emb(CycNum.rational(Fraction(1, emb.p), 12)) is None
+    with pytest.raises(ValueError):
+        emb(zeta(24))
 
 
 def test_root_of_unity_orders():

@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from cubicsym.cyclo import CycNum, zeta
+from cubicsym import corpus
+from cubicsym.cyclo import CycNum, modular_embedding, zeta
 from cubicsym.forms import Form, apply, evaluate, monomials
 from cubicsym.groebner import buchberger, pure_power_coverage
-from cubicsym.smooth import (NonSmoothWitness, combinatorial_non_smooth,
-                             find_partition_cover, is_smooth,
-                             jacobian_generators, partition_non_smooth, replay)
+from cubicsym.smooth import (NonSmoothWitness, SmoothResult, _smooth_mod_p,
+                             combinatorial_non_smooth, find_partition_cover,
+                             is_smooth, jacobian_generators,
+                             partition_non_smooth, replay)
 from tests.test_forms import fermat, rand_matrix
 
 
@@ -169,7 +172,6 @@ def test_brute_force_zero_agreement():
 def test_ideal_membership_conditions_are_gated_below_seven_variables():
     # a smooth cubic fourfold can sit inside an ideal of three variables;
     # the dimension-counting behind conditions (ii)-(iv) needs m >= 7
-    from cubicsym import corpus
     f = corpus.record("X13'").form
     trio = (0, 2, 3)
     assert all(any(e[v] for v in trio) for e in f.terms)  # F in (x1, x3, x4)
@@ -180,3 +182,44 @@ def test_ideal_membership_conditions_are_gated_below_seven_variables():
 def test_budget_exhaustion_is_reported():
     klein = form7(*[(1, {i: 2, (i + 1) % 7: 1}) for i in range(7)])
     assert is_smooth(klein, budget=1).status == "exhausted"
+
+
+def test_modular_and_exact_paths_agree_on_corpus():
+    for rid in corpus.all_ids():
+        f = corpus.record(rid).form
+        partials = jacobian_generators(f)
+        gb = buchberger(partials, budget_limit=2_000_000)
+        exact = "smooth" if all(pure_power_coverage(gb, f.nvars)) else "singular"
+        certified = _smooth_mod_p(partials, f.conductor, 2_000_000)
+        assert certified == (exact == "smooth"), rid
+        assert is_smooth(f, budget=2_000_000).status == exact, rid
+
+
+def test_degenerate_mod_p_falls_back_to_the_exact_path():
+    # p * x0^3 + x1^3 + ... is smooth over Q, but its first partial vanishes mod p
+    for n in (1, 12):
+        p = modular_embedding(n).p
+        f = Form.from_terms(4, 3, [(p if i == 0 else 1, mono(4, {i: 3}))
+                                   for i in range(4)], conductor=n)
+        assert not _smooth_mod_p(jacobian_generators(f), n, 10_000)
+        assert is_smooth(f).status == "smooth"
+        # a denominator divisible by p also leaves the decision to the exact path
+        g = f.scale(CycNum.rational(Fraction(1, p), n))
+        assert not _smooth_mod_p(jacobian_generators(g), n, 10_000)
+        assert is_smooth(g).status == "smooth"
+
+
+def test_cone_keeps_its_exact_witness():
+    # a variable F omits: caught before any Groebner basis
+    cone3 = Form.from_terms(3, 3, [(1, (3, 0, 0)), (1, (0, 3, 0))])
+    assert is_smooth(cone3) == SmoothResult(
+        "singular", NonSmoothWitness("JacobianZero", (2,)))
+    # the Fermat cubic in x0 + x3, x1, x2: singular at (1:0:0:-1), which only
+    # the Jacobian ideal sees; the modular run certifies nothing and the exact
+    # basis gives the witness
+    f = Form.from_terms(4, 3, [(1, (3, 0, 0, 0)), (3, (2, 0, 0, 1)), (3, (1, 0, 0, 2)),
+                               (1, (0, 0, 0, 3)), (1, (0, 3, 0, 0)), (1, (0, 0, 3, 0))])
+    assert combinatorial_non_smooth(f) is None
+    assert not _smooth_mod_p(jacobian_generators(f), 1, 10_000)
+    assert is_smooth(f) == SmoothResult(
+        "singular", NonSmoothWitness("JacobianZero", (3,)))
