@@ -127,7 +127,8 @@ def cmd_reps(args) -> int:
     spec = AbelianGroupSpec.from_factors(factors)
     if args.filter:
         report = classify(spec, args.vars, args.degree)
-        print(f"classes {report.total_classes} accepted {report.accepted} "
+        bound = "" if report.total_exact else "≤ "
+        print(f"classes {bound}{report.total_classes} accepted {report.accepted} "
               f"rejected {report.rejected} undecided {report.undecided}")
         for v in report.verdicts:
             line = f"{v.rep.exp_matrix} {v.status}"
@@ -314,7 +315,8 @@ def _run_task(task: dict) -> dict:
             factors = [int(x) for x in str(task["abelian"]).split(",")]
             report = classify(AbelianGroupSpec.from_factors(factors),
                               task.get("vars", 7), task.get("degree", 3))
-            out["result"] = {"classes": report.total_classes,
+            total = "classes" if report.total_exact else "classes_at_most"
+            out["result"] = {total: report.total_classes,
                              "accepted": report.accepted,
                              "undecided": report.undecided}
             expect = task.get("expect")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,10 +25,6 @@ from .smooth import (NonSmoothWitness, _support_non_smooth,
                      find_partition_cover, is_smooth, replay)
 
 AUT_ENUM_CAP = 300_000
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ class RepClass:
 
 def _diagonal_subgroup(rep: RepClass) -> tuple[int, list[tuple[int, ...]]]:
     """The finite diagonal group <rho(G), zeta_d I> as a subgroup of (Z/L)^m."""
-    L = _lcm(rep.spec.exponent, rep.d)
+    L = lcm(rep.spec.exponent, rep.d)
     gens = []
     for j, nj in enumerate(rep.spec.factors):
         step = L // nj
@@ -308,102 +304,125 @@ def _combined_tables(spec: AbelianGroupSpec, d: int) -> tuple[np.ndarray, bool]:
     return np.array(combined, dtype=np.int64), complete
 
 
-def _pack_rows(arr: np.ndarray, wide: bool) -> np.ndarray:
-    """Lexicographic row keys: one uint64 word for <= 8 byte-sized columns,
-    otherwise two words (up to 8 uint16 columns)."""
-    n, m = arr.shape
-    if not wide:
-        a = np.zeros(n, dtype=np.uint64)
-        for j in range(m):
-            a = (a << np.uint64(8)) | arr[:, j].astype(np.uint64)
-        return a.reshape(n, 1)
-    a = np.zeros(n, dtype=np.uint64)
-    b = np.zeros(n, dtype=np.uint64)
-    for j in range(min(m, 4)):
-        a = (a << np.uint64(16)) | arr[:, j].astype(np.uint64)
-    for _ in range(4 - min(m, 4)):
-        a = a << np.uint64(16)
-    for j in range(4, m):
-        b = (b << np.uint64(16)) | arr[:, j].astype(np.uint64)
-    for _ in range(4 - max(m - 4, 0)):
-        b = b << np.uint64(16)
-    return np.stack([a, b], axis=1)
+_BLOCK = 1 << 16  # rows per block: a block's byte columns stay in cache
+
+
+def _blocks(n: int):
+    """Slices that cover range(n), _BLOCK rows each."""
+    return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
+
+
+def _sort_columns(cols: list[np.ndarray]) -> None:
+    """Sort the rows held column-wise in cols, in place, with the odd-even
+    transposition network: m rounds of compare-exchanges on adjacent
+    positions, starting alternately at 0 and 1."""
+    m = len(cols)
+    for r in range(m):
+        for i in range(r % 2, m - 1, 2):
+            lo = np.minimum(cols[i], cols[i + 1])
+            np.maximum(cols[i], cols[i + 1], out=cols[i + 1])
+            cols[i] = lo
+
+
+def _canonical_block(cols: list[np.ndarray], tables: np.ndarray) -> list[np.ndarray]:
+    """The candidates (sorted rows held column-wise) whose sorted image under
+    no table is lexicographically smaller."""
+    index = [c.astype(np.intp) for c in cols]  # numpy gathers fastest by intp
+    alive = np.ones(cols[0].size, dtype=bool)
+    for t in tables:
+        img = [t[c] for c in index]
+        _sort_columns(img)
+        lt = img[0] < cols[0]
+        eq = img[0] == cols[0]
+        for q, b in zip(img[1:], cols[1:]):
+            lt |= eq & (q < b)
+            eq &= q == b
+        alive &= ~lt
+        if np.count_nonzero(alive) < 0.75 * alive.size:
+            # compacting costs about one table pass: wait for a quarter to die
+            keep = np.flatnonzero(alive)
+            cols = [c[keep] for c in cols]
+            index = [c[keep] for c in index]
+            alive = np.ones(keep.size, dtype=bool)
+    keep = np.flatnonzero(alive)
+    return [c[keep] for c in cols]
 
 
 def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int,
                     progress: bool = False) -> tuple[np.ndarray, bool]:
     """Orderly generation of canonical column-multiset rows (indices into the
     dual-group element list); a candidate survives only when no transform gives
-    a strictly smaller sorted row."""
+    a strictly smaller sorted row.  Candidates are held as one array per column
+    and tested block by block."""
     order = spec.order
     if order > 60_000:
         raise ValueError("group too large for column enumeration")
     tables, complete = _combined_tables(spec, d)
-    wide = order > 255
-    dtype = np.uint16 if wide else np.uint8
+    dtype = np.uint16 if order > 255 else np.uint8
     tables = tables.astype(dtype)
-    rows = np.zeros((1, 0), dtype=dtype)
+    cols: list[np.ndarray] = []  # the prefixes, one array per column
     for level in range(m):
-        if rows.shape[0] == 0:
+        lasts = cols[-1].astype(np.int64) if cols else np.zeros(1, dtype=np.int64)
+        if lasts.size == 0:
             break
-        lasts = rows[:, -1].astype(np.int64) if level else np.zeros(len(rows), dtype=np.int64)
         reps = order - lasts
-        total = int(reps.sum())
-        idx = np.repeat(np.arange(len(rows)), reps)
-        cum = np.concatenate([[0], np.cumsum(reps)])
-        pos = np.arange(total) - np.repeat(cum[:-1], reps)
-        newcol = (lasts[idx] + pos).astype(dtype)
-        cand = np.concatenate([rows[idx], newcol[:, None]], axis=1)
-        base = _pack_rows(cand, wide)
-        for t in tables:
-            q = t[cand]
-            q.sort(axis=1)
-            key = _pack_rows(q, wide)
-            if wide:
-                keep = (key[:, 0] > base[:, 0]) | (
-                    (key[:, 0] == base[:, 0]) & (key[:, 1] >= base[:, 1]))
-            else:
-                keep = key[:, 0] >= base[:, 0]
-            if not keep.all():
-                cand = cand[keep]
-                base = base[keep]
-            if cand.shape[0] == 0:
-                break
-        rows = cand
+        idx = np.repeat(np.arange(lasts.size), reps)
+        newcol = (np.arange(idx.size) - (np.cumsum(reps) - reps - lasts)[idx]).astype(dtype)
+        cand = [c[idx] for c in cols] + [newcol]
+        cols = [np.concatenate(part) for part in zip(*(
+            _canonical_block([c[b] for c in cand], tables) for b in _blocks(newcol.size)))]
         if progress:
-            print(f"  level {level + 1}: {rows.shape[0]} canonical prefixes", flush=True)
+            print(f"  level {level + 1}: {cols[0].size} canonical prefixes", flush=True)
+    rows = np.stack(cols, axis=1) if cols else np.zeros((1, 0), dtype=dtype)
     return rows, complete
 
 
 def _character_tables(spec: AbelianGroupSpec) -> list[np.ndarray]:
-    """For every nonzero g in G, the table col -> chi_col(g) as an integer in
-    Z/L (L the exponent); scalar image means all chosen columns agree."""
+    """For one generator g of each subgroup of prime order in G, the table
+    col -> chi_col(g) as an integer in Z/L (L the exponent); scalar image
+    means all chosen columns agree.  The g with scalar image form a subgroup,
+    and a nontrivial subgroup has a subgroup of prime order."""
     elems = spec.elements()
     factors = spec.factors
     L = spec.exponent
     steps = [L // nj for nj in factors]
     out = []
+    seen = set()
     for g in elems:
-        if not any(g):
+        p = lcm(*(f // gcd(x, f) for x, f in zip(g, factors)))
+        if g in seen or p == 1 or any(p % q == 0 for q in range(2, p)):
             continue
+        seen.update(tuple(k * x % f for x, f in zip(g, factors)) for k in range(p))
         vals = np.array(
             [sum(c[j] * g[j] * steps[j] for j in range(len(factors))) % L
-             for c in elems], dtype=np.int64)
+             for c in elems], dtype=np.min_scalar_type(L))
         out.append(vals)
+    return out
+
+
+def _row_mask(rows: np.ndarray, fn) -> np.ndarray:
+    """Apply fn block by block to rows given as an (m, block) intp array."""
+    out = np.ones(rows.shape[0], dtype=bool)
+    for b in _blocks(rows.shape[0]):
+        out[b] = fn(rows[b].T.astype(np.intp))
     return out
 
 
 def _valid_mask(rows: np.ndarray, spec: AbelianGroupSpec) -> np.ndarray:
     """Faithfulness plus injective projective image: no nonzero group element
     has all column characters equal."""
-    keep = np.ones(rows.shape[0], dtype=bool)
-    idx = rows.astype(np.int64)
-    for vals in _character_tables(spec):
-        if not keep.any():
-            break
-        v = vals[idx]
-        keep &= (v != v[:, :1]).any(axis=1)
-    return keep
+    chars = _character_tables(spec)
+
+    def block(cols):
+        keep = np.ones(cols.shape[1], dtype=bool)
+        for vals in chars:
+            v = [vals[c] for c in cols]
+            differs = np.zeros(cols.shape[1], dtype=bool)
+            for x in v[1:]:
+                differs |= x != v[0]
+            keep &= differs
+        return keep
+    return _row_mask(rows, block)
 
 
 def _rows_to_classes(rows: np.ndarray, spec: AbelianGroupSpec, m: int, d: int) -> list[RepClass]:
@@ -572,9 +591,10 @@ class ClassificationReport:
     spec: AbelianGroupSpec
     m: int
     d: int
-    total_classes: int
+    total_classes: int  # an upper bound unless total_exact
     bulk_rejected: int  # classes with no invariant x_i^2 x_j for some i
     verdicts: tuple[RepVerdict, ...]
+    total_exact: bool
 
     @property
     def accepted(self) -> int:
@@ -593,28 +613,21 @@ def _bulk_square_mask(rows: np.ndarray, spec: AbelianGroupSpec) -> np.ndarray:
     """True where the invariant support contains, for every position i, some
     monomial x_i^2 x_j; the complement is exactly the support-level witness
     of kind L38-i."""
-    n, m = rows.shape
-    elems = spec.elements()
-    factors = spec.factors
-    k = len(factors)
-    weights = [np.array([e[j] for e in elems], dtype=np.int64) for j in range(k)]
-    idx = rows.astype(np.int64)
-    keep = np.ones(n, dtype=bool)
-    for i in range(m):
-        has = np.zeros(n, dtype=bool)
-        for j in range(m):
-            ok = np.ones(n, dtype=bool)
-            for t in range(k):
-                w = weights[t]
-                val = (2 * w[idx[:, i]] + w[idx[:, j]]) % factors[t]
-                ok &= val == 0
-                if not ok.any():
-                    break
-            has |= ok
-        keep &= has
-        if not keep.any():
-            break
-    return keep
+    index = {e: i for i, e in enumerate(spec.elements())}
+    # x_i^2 x_j is invariant exactly when column j is -2 times column i
+    minus_twice = np.array([index[tuple(-2 * a % f for a, f in zip(e, spec.factors))]
+                            for e in index])
+
+    def block(cols):
+        keep = np.ones(cols.shape[1], dtype=bool)
+        for ci in cols:
+            want = minus_twice[ci]
+            has = np.zeros(cols.shape[1], dtype=bool)
+            for cj in cols:
+                has |= cj == want
+            keep &= has
+        return keep
+    return _row_mask(rows, block)
 
 
 def classify(spec: AbelianGroupSpec, m: int, d: int,
@@ -627,8 +640,9 @@ def classify(spec: AbelianGroupSpec, m: int, d: int,
     rejected wholesale, the rest get the full filter.
 
     For groups where only a subgroup of the dual symmetries was enumerated the
-    exact deduplication runs on the filter survivors; the bulk-rejected total
-    is then an upper bound on distinct classes (never affects accepted counts).
+    exact deduplication runs on the filter survivors only, so the bulk-rejected
+    rows may still repeat a class: total_classes is then an upper bound and
+    total_exact is False.  The verdicts, and so the accepted count, stay exact.
     """
     _require_cubic(d)
     rows, complete = _canonical_rows(spec, m, d, progress)
@@ -652,4 +666,4 @@ def classify(spec: AbelianGroupSpec, m: int, d: int,
         total -= dropped
     verdicts = filter_to_nd_reps(classes, m - 2, d, gb_budget,
                                  structured_limit, random_limit)
-    return ClassificationReport(spec, m, d, total, bulk_rejected, tuple(verdicts))
+    return ClassificationReport(spec, m, d, total, bulk_rejected, tuple(verdicts), complete)

@@ -1,0 +1,43 @@
+"""Smoke test of the benchmark harness in perfbench/: a short traced manifest
+and the set-up probe must run against the current src/ and print the JSON the
+benchmark reads.  It reads perfbench/ and writes only to a temporary dir."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_traced_run_prints_one_passing_json_object(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([
+        {"task": "verify", "id": "X20"},
+        {"task": "reps-count", "abelian": "7", "vars": 7, "degree": 3},
+        {"task": "reps-count", "abelian": "2,2", "vars": 7, "degree": 3},
+    ]))
+    r = _run(["perfbench/traced.py", str(manifest), str(tmp_path / "spans.gz")])
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.strip().splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert [res["status"] for res in out["results"]] == ["PASS"] * 3
+    assert out["layers"].get("reps", 0) > 0
+    assert out["metrics"]["reps.enum_rows"]["value"] > 0
+    assert (tmp_path / "spans.gz").stat().st_size > 0
+
+
+def test_ready_probe_dumps_every_record():
+    r = _run(["perfbench/ready.py", "--dump"])
+    assert r.returncode == 0, r.stderr
+    records = json.loads(r.stdout)
+    assert len(records) == 35
+    assert all(len(orders) == 3 for orders in records.values())

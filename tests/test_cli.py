@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from cubicsym.cli import main
+from cubicsym import reps
+from cubicsym.cli import _run_task, main
 
 BASE = [sys.executable, "-m", "cubicsym"]
 
@@ -70,6 +71,16 @@ def test_reps_command():
                  "--filter"])
     assert r.returncode == 0
     assert "classes 6 accepted 3" in r.stdout
+
+
+def test_reps_labels_a_bounded_total(monkeypatch, capsys):
+    assert _run_task({"task": "reps-count", "abelian": "2,2"})["result"] == {
+        "classes": 20, "accepted": 4, "undecided": 0}
+    monkeypatch.setattr(reps, "AUT_ENUM_CAP", 10)
+    assert main(["reps", "--abelian", "2,2", "--filter"]) == 0
+    assert capsys.readouterr().out.startswith("classes ≤ 25 accepted 4 ")
+    out = _run_task({"task": "reps-count", "abelian": "2,2"})
+    assert out["result"] == {"classes_at_most": 25, "accepted": 4, "undecided": 0}
 
 
 def test_reps_filter_rejects_non_cubic_degree(tmp_path):

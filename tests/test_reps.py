@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from cubicsym import reps
 from cubicsym.forms import fixes
 from cubicsym.reps import (AbelianGroupSpec, RepClass, _diagonal_subgroup,
                            accepted_count, canonicalize, classify,
@@ -65,6 +66,17 @@ def test_c7_unique_accepted_rep():
     assert report.undecided == 0
     acc = [v for v in report.verdicts if v.status == "accepted"][0]
     assert acc.rep.exp_matrix == ((0, 1, 2, 3, 4, 5, 6),)
+
+
+def test_total_is_a_bound_when_automorphisms_are_capped(monkeypatch):
+    spec = AbelianGroupSpec.from_factors([2, 2])
+    exact = classify(spec, 7, 3)
+    assert (exact.total_classes, exact.total_exact) == (20, True)
+    monkeypatch.setattr(reps, "AUT_ENUM_CAP", 10)
+    bound = classify(spec, 7, 3)
+    assert not bound.total_exact
+    assert bound.total_classes == 25
+    assert (bound.accepted, bound.undecided) == (exact.accepted, exact.undecided)
 
 
 def test_canonicalize_column_permutation_and_scaling():

@@ -1,0 +1,162 @@
+"""The column kernels of the enumerator against reference copies of the row
+kernels they replaced: sort each gathered (N, m) block with np.sort, pack
+every row into uint64 keys, and evaluate the masks with int64 weights."""
+
+from itertools import product
+
+import numpy as np
+import pytest
+
+from cubicsym import reps
+from cubicsym.reps import (AbelianGroupSpec, _bulk_square_mask, _canonical_rows,
+                           _combined_tables, _sort_columns, _valid_mask)
+
+GROUPS = [[2], [3], [4], [6], [7], [8], [12], [2, 2], [2, 4], [3, 3], [2, 2, 2]]
+
+
+def _pack_rows(arr, wide):
+    n, m = arr.shape
+    if not wide:
+        a = np.zeros(n, dtype=np.uint64)
+        for j in range(m):
+            a = (a << np.uint64(8)) | arr[:, j].astype(np.uint64)
+        return a.reshape(n, 1)
+    a = np.zeros(n, dtype=np.uint64)
+    b = np.zeros(n, dtype=np.uint64)
+    for j in range(min(m, 4)):
+        a = (a << np.uint64(16)) | arr[:, j].astype(np.uint64)
+    for _ in range(4 - min(m, 4)):
+        a = a << np.uint64(16)
+    for j in range(4, m):
+        b = (b << np.uint64(16)) | arr[:, j].astype(np.uint64)
+    for _ in range(4 - max(m - 4, 0)):
+        b = b << np.uint64(16)
+    return np.stack([a, b], axis=1)
+
+
+def _reference_rows(spec, m, d):
+    order = spec.order
+    tables, complete = _combined_tables(spec, d)
+    wide = order > 255
+    dtype = np.uint16 if wide else np.uint8
+    tables = tables.astype(dtype)
+    rows = np.zeros((1, 0), dtype=dtype)
+    for level in range(m):
+        if rows.shape[0] == 0:
+            break
+        lasts = rows[:, -1].astype(np.int64) if level else np.zeros(len(rows), dtype=np.int64)
+        reps = order - lasts
+        total = int(reps.sum())
+        idx = np.repeat(np.arange(len(rows)), reps)
+        cum = np.concatenate([[0], np.cumsum(reps)])
+        pos = np.arange(total) - np.repeat(cum[:-1], reps)
+        newcol = (lasts[idx] + pos).astype(dtype)
+        cand = np.concatenate([rows[idx], newcol[:, None]], axis=1)
+        base = _pack_rows(cand, wide)
+        for t in tables:
+            q = t[cand]
+            q.sort(axis=1)
+            key = _pack_rows(q, wide)
+            if wide:
+                keep = (key[:, 0] > base[:, 0]) | (
+                    (key[:, 0] == base[:, 0]) & (key[:, 1] >= base[:, 1]))
+            else:
+                keep = key[:, 0] >= base[:, 0]
+            if not keep.all():
+                cand = cand[keep]
+                base = base[keep]
+            if cand.shape[0] == 0:
+                break
+        rows = cand
+    return rows, complete
+
+
+def _reference_valid_mask(rows, spec):
+    elems = spec.elements()
+    L = spec.exponent
+    steps = [L // nj for nj in spec.factors]
+    idx = rows.astype(np.int64)
+    keep = np.ones(rows.shape[0], dtype=bool)
+    for g in elems:
+        if not any(g):
+            continue
+        vals = np.array([sum(c[j] * g[j] * steps[j] for j in range(len(g))) % L
+                         for c in elems], dtype=np.int64)
+        v = vals[idx]
+        keep &= (v != v[:, :1]).any(axis=1)
+    return keep
+
+
+def _reference_bulk_square_mask(rows, spec):
+    n, m = rows.shape
+    elems = spec.elements()
+    weights = [np.array([e[j] for e in elems], dtype=np.int64)
+               for j in range(len(spec.factors))]
+    idx = rows.astype(np.int64)
+    keep = np.ones(n, dtype=bool)
+    for i in range(m):
+        has = np.zeros(n, dtype=bool)
+        for j in range(m):
+            ok = np.ones(n, dtype=bool)
+            for w, f in zip(weights, spec.factors):
+                ok &= (2 * w[idx[:, i]] + w[idx[:, j]]) % f == 0
+            has |= ok
+        keep &= has
+    return keep
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("factors", GROUPS, ids=lambda f: "x".join(f"C{x}" for x in f))
+def test_column_kernels_match_the_row_kernels(factors):
+    spec = AbelianGroupSpec.from_factors(factors)
+    for m in range(2, 8):
+        rows, complete = _canonical_rows(spec, m, 3)
+        want, want_complete = _reference_rows(spec, m, 3)
+        assert complete == want_complete
+        _assert_same_array(rows, want)
+        valid = _valid_mask(rows, spec)
+        _assert_same_array(valid, _reference_valid_mask(rows, spec))
+        rows = rows[valid]
+        _assert_same_array(_bulk_square_mask(rows, spec),
+                           _reference_bulk_square_mask(rows, spec))
+
+
+@pytest.mark.parametrize("factors", [[6], [2, 4]])
+def test_block_boundaries_do_not_change_the_rows(factors, monkeypatch):
+    spec = AbelianGroupSpec.from_factors(factors)
+    want, _ = _reference_rows(spec, 7, 3)
+    valid = _reference_valid_mask(want, spec)
+    square = _reference_bulk_square_mask(want[valid], spec)
+    monkeypatch.setattr(reps, "_BLOCK", 5)
+    rows, _ = _canonical_rows(spec, 7, 3)
+    _assert_same_array(rows, want)
+    _assert_same_array(_valid_mask(rows, spec), valid)
+    _assert_same_array(_bulk_square_mask(rows[valid], spec), square)
+
+
+def test_column_kernels_on_two_byte_elements():
+    spec = AbelianGroupSpec.from_factors([257])
+    rows, _ = _canonical_rows(spec, 3, 3)
+    want, _ = _reference_rows(spec, 3, 3)
+    assert rows.dtype == np.uint16
+    _assert_same_array(rows, want)
+    _assert_same_array(_valid_mask(rows, spec), _reference_valid_mask(rows, spec))
+    _assert_same_array(_bulk_square_mask(rows, spec),
+                       _reference_bulk_square_mask(rows, spec))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_sorting_network_sorts_every_zero_one_input(m):
+    # 0-1 principle: a comparator network that sorts all 2^m inputs of zeros
+    # and ones sorts every input
+    cols = [np.array(col, dtype=np.uint8) for col in zip(*product((0, 1), repeat=m))]
+    ones = sum(c.astype(int) for c in cols)
+    _sort_columns(cols)
+    for lo, hi in zip(cols, cols[1:]):
+        assert (lo <= hi).all()
+    assert np.array_equal(sum(c.astype(int) for c in cols), ones)
