@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping
 
 
@@ -392,15 +392,8 @@ def zeta(n: int, k: int = 1) -> CycNum:
     return CycNum.root(n, k)
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def common_conductor(*conductors: int) -> int:
-    n = 1
-    for c in conductors:
-        n = lcm(n, c)
-    return n
+    return lcm(*conductors)
 
 
 def multiplicative_order(a: CycNum, cap: int = 10_000) -> int | None:

@@ -1,15 +1,15 @@
-"""Invariant forms under matrix groups, the symplectic determinant criterion,
+"""Invariant forms under matrix groups, the symplectic character of a cubic fourfold,
 and the block-matrix covering construction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .cyclo import CycNum, common_conductor, multiplicative_order, zeta
 from .forms import CycMatrix, Form, apply, hat, monomials, semi_invariance_factor
-from .groups import MatGroup, projective_classes
+from .groups import MatGroup, projective_order
 from .linalg import nullspace
 
 
@@ -74,60 +74,44 @@ def reynolds_average(group: MatGroup, f: Form) -> Form:
     return total.scale(Fraction(1, group.order))
 
 
-def projective_matrix_order(a: CycMatrix, cap: int = 10_000) -> tuple[int, CycNum]:
-    """(n, c): smallest n >= 1 with A^n scalar, and that scalar value c."""
-    x = a
-    for n in range(1, cap + 1):
-        if x.is_scalar():
-            return n, x.rows[0][0]
-        x = x * a
-    raise ValueError(f"projective order exceeds cap {cap}")
+def symplectic_character(a: CycMatrix, f: Form) -> CycNum:
+    """chi(A) = det(A) / lambda^2, where A(F) = lambda*F, for a cubic fourfold F.
 
-
-def normalize_order(a: CycMatrix, cap: int = 10_000) -> CycMatrix:
-    """Scale A by a root of unity so that ord(A) equals the order of [A] in PGL."""
-    n, c = projective_matrix_order(a, cap)
-    if c.is_one():
-        return a
-    r = multiplicative_order(c, cap)
-    if r is None:
-        raise ValueError("scalar part has unreasonably large order")
-    big = common_conductor(a.conductor, n * r)
-    ce = c.embed(big)
-    s = next(s for s in range(r) if zeta(big, (big // r) * s) == ce)
-    # mu = zeta_{nr}^{-s} satisfies mu^n = c^{-1}
-    mu = zeta(n * r, (n * r - s) % (n * r))
-    b = a.lift(big)
-    mu = mu.embed(b.conductor)
-    scaled = CycMatrix.scalar(a.dim, mu) * b
-    if scaled.order(cap) != n:
-        raise ValueError("no scalar rescaling achieves ord(A) = ord([A])")
-    return scaled
-
-
-def is_symplectic(a: CycMatrix, f: Form, cap: int = 10_000) -> bool:
-    """det(A) = lambda^2 for the order-normalized representative of [A]."""
+    chi is a homomorphism to the roots of unity. Scaling A by c multiplies
+    det(A) by c^6 and lambda by c^3, so chi(cA) = chi(A) and chi factors
+    through the projective image: [A] acts symplectically iff chi(A) = 1.
+    """
+    if f.nvars != 6 or f.degree != 3:
+        raise ValueError("symplectic criterion applies to cubic fourfolds")
     lam = semi_invariance_factor(a, f)
     if lam is None:
         raise ValueError("matrix does not preserve the form up to scalar")
-    b = normalize_order(a, cap)
-    lam_b = semi_invariance_factor(b, f)
-    n = common_conductor(b.conductor, lam_b.conductor)
-    return b.lift(n).det() == (lam_b ** 2).embed(n)
+    # the roots of unity in Q(zeta_N) have orders dividing lcm(2, N)
+    if not (lam ** lcm(2, lam.conductor)).is_one():
+        raise ValueError("matrix has infinite order: lambda is not a root of unity")
+    n = common_conductor(a.conductor, lam.conductor)
+    return a.lift(n).det() / (lam ** 2).embed(n)
+
+
+def is_symplectic(a: CycMatrix, f: Form) -> bool:
+    """Whether [A] acts symplectically: chi(A) = 1."""
+    return symplectic_character(a, f).is_one()
 
 
 def symplectic_order(group: MatGroup, f: Form) -> int:
     """Order of the symplectic part of the induced projective action on a cubic
-    fourfold (6 variables, degree 3)."""
-    if f.nvars != 6 or f.degree != 3:
-        raise ValueError("symplectic criterion applies to cubic fourfolds")
+    fourfold (6 variables, degree 3): the kernel of chi on pi(G). The image of
+    chi is cyclic and generated by the chi(g_i), so its order is the lcm of
+    their orders."""
     if not group.materialized():
         raise ValueError("group not materialized")
-    count = 0
-    for cls in projective_classes(group):
-        if is_symplectic(cls[0], f):
-            count += 1
-    return count
+    image = 1
+    for g in group.generators:
+        k = multiplicative_order(symplectic_character(g, f))
+        if k is None:
+            raise ValueError("symplectic character has unreasonably large order")
+        image = lcm(image, k)
+    return projective_order(group) // image
 
 
 def f_lifting_exists(m: int, d: int) -> bool:

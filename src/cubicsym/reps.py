@@ -22,7 +22,7 @@ import numpy as np
 from .cyclo import CycNum, zeta
 from .forms import CycMatrix, Form, monomials
 from .smooth import (NonSmoothWitness, _support_non_smooth,
-                     find_partition_cover, is_smooth, replay)
+                     find_partition_cover, is_smooth)
 
 AUT_ENUM_CAP = 300_000
 
@@ -488,21 +488,6 @@ def _witness_coeffs():
     return _WITNESS_COEFFS
 
 
-def _spot_check_rejection(support, m: int, witness: NonSmoothWitness,
-                          rng: random.Random, trials: int = 20) -> None:
-    coeffs = _witness_coeffs()
-    for _ in range(trials):
-        terms = {e: rng.choice(coeffs) for e in support if rng.random() < 0.8}
-        if not terms:
-            continue
-        member = Form(m, 3, 12, terms)
-        if member.is_zero():
-            continue
-        if not replay(witness, member):
-            raise AssertionError(
-                "support-level rejection failed on a random invariant member")
-
-
 def _require_cubic(d: int) -> None:
     # the support conditions L38-i..iv and L310, and the witness forms, are cubic
     if d != 3:
@@ -515,7 +500,15 @@ def filter_to_nd_reps(classes: Sequence[RepClass], n: int, d: int,
                       random_limit: int = 200) -> list[RepVerdict]:
     """Classify each representation class: reject when the full invariant
     support already violates smoothness, otherwise hunt for a smooth invariant
-    witness form; undecided when the search budget runs out."""
+    witness form; undecided when the search budget runs out.
+
+    A rejection holds for every invariant cubic, not only for the full
+    support. Each L38 witness says either that no monomial has a property
+    (L38-i: no x_i^2) or that every monomial has one (L38-ii to iv), and so
+    does the L310 cover (every monomial fits one of its patterns). The
+    support of an invariant cubic is a subset of the full support, and both
+    kinds of statement pass from a set to its subsets.
+    """
     _require_cubic(d)
     out = []
     for rc in classes:
@@ -530,13 +523,11 @@ def filter_to_nd_reps(classes: Sequence[RepClass], n: int, d: int,
             continue
         w = _support_non_smooth(support, m)
         if w is not None:
-            _spot_check_rejection(support, m, w, rng)
             out.append(RepVerdict(rc, "rejected", None, w, support))
             continue
         cover = find_partition_cover(support, m)
         if cover is not None:
             w = NonSmoothWitness("L310", cover)
-            _spot_check_rejection(support, m, w, rng)
             out.append(RepVerdict(rc, "rejected", None, w, support))
             continue
         verdict = _search_smooth_witness(rc, support, gb_budget,

@@ -23,14 +23,18 @@ def test_traced_run_prints_one_passing_json_object(tmp_path):
         {"task": "verify", "id": "X20"},
         {"task": "reps-count", "abelian": "7", "vars": 7, "degree": 3},
         {"task": "reps-count", "abelian": "2,2", "vars": 7, "degree": 3},
+        {"task": "verify", "id": "X8'"},
     ]))
     r = _run(["perfbench/traced.py", str(manifest), str(tmp_path / "spans.gz")])
     assert r.returncode == 0, r.stderr
     lines = r.stdout.strip().splitlines()
     assert len(lines) == 1
     out = json.loads(lines[0])
-    assert [res["status"] for res in out["results"]] == ["PASS"] * 3
+    assert [res["status"] for res in out["results"]] == ["PASS"] * 4
+    # every function traced.py wraps still exists, so every metric is reported
+    assert out["absent"] == []
     assert out["layers"].get("reps", 0) > 0
+    assert out["layers"].get("invariants", 0) > 0
     assert out["metrics"]["reps.enum_rows"]["value"] > 0
     assert (tmp_path / "spans.gz").stat().st_size > 0
 

@@ -79,7 +79,7 @@ def test_block_restrictions_match_fivefold_generators():
 
 
 def test_symplectic_orders_for_complete_fourfolds():
-    for rid in ("X3'", "X5'", "X8'", "X9'", "X13'", "X14'"):
+    for rid in ("X3'", "X4'", "X5'", "X8'", "X9'", "X11'", "X13'", "X14'", "X15'"):
         rec = corpus.record(rid)
         g = closure(rec.generators)
         assert symplectic_order(g, rec.form) == rec.symplectic_order, rid

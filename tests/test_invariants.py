@@ -3,12 +3,14 @@ import random
 import pytest
 
 from cubicsym import corpus
-from cubicsym.cyclo import CycNum, multiplicative_order, zeta
-from cubicsym.forms import CycMatrix, Form, apply, fixes, hat, monomials
-from cubicsym.groups import closure
+from cubicsym.cyclo import CycNum, common_conductor, multiplicative_order, zeta
+from cubicsym.forms import (CycMatrix, Form, apply, fixes, hat, monomials,
+                            semi_invariance_factor)
+from cubicsym.groups import closure, projective_classes
 from cubicsym.invariants import (covering_lift, f_lifting_exists,
-                                 invariant_forms, is_symplectic, normalize_order,
-                                 reynolds_average, symplectic_order)
+                                 invariant_forms, is_symplectic,
+                                 reynolds_average, symplectic_character,
+                                 symplectic_order)
 from tests.test_forms import rand_matrix
 
 
@@ -128,21 +130,93 @@ def test_symplectic_is_conjugation_invariant():
         assert is_symplectic(conj, g) == is_symplectic(a, f)
 
 
-def test_normalize_order_achieves_projective_order():
-    w9 = zeta(9)
-    a = CycMatrix.scalar(3, w9) * CycMatrix.permutation([1, 2, 0], conductor=9)
-    assert a.order() == 9
-    b = normalize_order(a)
-    assert b.order() == 3
-
-
 def test_m10_determinant_checks():
     a = corpus.m10_printed_diagonal()
     assert a.det().is_one()
     assert a.order() == 8
-    from cubicsym.invariants import projective_matrix_order
-    n, c = projective_matrix_order(a)
-    assert n == 8 and c.is_one()
+
+
+# Reference for the symplectic test: scale A to a representative whose order
+# equals the order of [A] in PGL, then test det = lambda^2 on it.
+
+def _projective_matrix_order(a: CycMatrix, cap: int = 10_000) -> tuple[int, CycNum]:
+    """(n, c): smallest n >= 1 with A^n scalar, and that scalar value c."""
+    x = a
+    for n in range(1, cap + 1):
+        if x.is_scalar():
+            return n, x.rows[0][0]
+        x = x * a
+    raise ValueError(f"projective order exceeds cap {cap}")
+
+
+def _normalize_order(a: CycMatrix, cap: int = 10_000) -> CycMatrix:
+    """Scale A by a root of unity so that ord(A) equals the order of [A] in PGL."""
+    n, c = _projective_matrix_order(a, cap)
+    if c.is_one():
+        return a
+    r = multiplicative_order(c, cap)
+    big = common_conductor(a.conductor, n * r)
+    ce = c.embed(big)
+    s = next(s for s in range(r) if zeta(big, (big // r) * s) == ce)
+    # mu = zeta_{nr}^{-s} satisfies mu^n = c^{-1}
+    mu = zeta(n * r, (n * r - s) % (n * r)).embed(big)
+    scaled = CycMatrix.scalar(a.dim, mu) * a.lift(big)
+    assert scaled.order(cap) == n
+    return scaled
+
+
+def _reference_is_symplectic(a: CycMatrix, f: Form) -> bool:
+    b = _normalize_order(a)
+    lam = semi_invariance_factor(b, f)
+    n = common_conductor(b.conductor, lam.conductor)
+    return b.lift(n).det() == (lam ** 2).embed(n)
+
+
+@pytest.mark.parametrize("rid", ["X3'", "X5'", "X8'", "X14'"])
+def test_character_matches_order_normalized_reference_on_every_class(rid):
+    rec = corpus.record(rid)
+    g = closure(rec.generators)
+    classes = projective_classes(g)
+    symplectic = 0
+    for cls in classes:
+        verdict = is_symplectic(cls[0], rec.form)
+        assert verdict == _reference_is_symplectic(cls[0], rec.form), rid
+        symplectic += verdict
+    assert symplectic == rec.symplectic_order == symplectic_order(g, rec.form)
+
+
+def test_character_is_multiplicative_on_x9p():
+    rec = corpus.record("X9'")
+    elems = closure(rec.generators).elements
+    rng = random.Random(29)
+    for _ in range(50):
+        a, b = rng.choice(elems), rng.choice(elems)
+        chi_ab = symplectic_character(a * b, rec.form)
+        chi_a = symplectic_character(a, rec.form)
+        chi_b = symplectic_character(b, rec.form)
+        n = common_conductor(chi_ab.conductor, chi_a.conductor, chi_b.conductor)
+        assert chi_ab.embed(n) == chi_a.embed(n) * chi_b.embed(n)
+
+
+def test_character_ignores_scaling():
+    rec = corpus.record("X5'")
+    a = rec.generators[0]
+    chi = symplectic_character(a, rec.form)
+    # c^12 != 1 for these, so det * lambda^2 would change under the scaling
+    for c in (zeta(16, 3), zeta(9, 2), zeta(5)):
+        n = common_conductor(a.conductor, c.conductor)
+        scaled = CycMatrix.scalar(6, c.embed(n)) * a.lift(n)
+        assert symplectic_character(scaled, rec.form) == chi.embed(n)
+
+
+def test_form_not_preserved_raises():
+    f = corpus.record("X5'").form
+    swap = CycMatrix.permutation([1, 0, 2, 3, 4, 5], conductor=f.conductor)
+    assert semi_invariance_factor(swap, f) is None
+    with pytest.raises(ValueError):
+        is_symplectic(swap, f)
+    with pytest.raises(ValueError):
+        symplectic_order(closure([swap]), f)
 
 
 def test_covering_lift_identity_and_x5p():

@@ -4,11 +4,13 @@ from itertools import permutations
 import pytest
 
 from cubicsym import reps
-from cubicsym.forms import fixes
+from cubicsym.cyclo import zeta
+from cubicsym.forms import Form, fixes, monomials
 from cubicsym.reps import (AbelianGroupSpec, RepClass, _diagonal_subgroup,
                            accepted_count, canonicalize, classify,
                            enumerate_diagonal_reps, filter_to_nd_reps)
-from cubicsym.smooth import is_smooth
+from cubicsym.smooth import (NonSmoothWitness, _cover_ok, _support_non_smooth,
+                             find_partition_cover, is_smooth, replay)
 
 
 def test_spec_normalization():
@@ -179,3 +181,29 @@ def test_enumerate_raises_when_materialization_too_large():
     spec = AbelianGroupSpec.from_factors([9, 5])
     with pytest.raises(ValueError):
         enumerate_diagonal_reps(spec, 7, 3)
+
+
+def test_support_rejections_replay_on_every_sub_support():
+    # filter_to_nd_reps rejects a class on its full invariant support only:
+    # each witness must then hold for every invariant cubic, whose support is
+    # a subset of it
+    rng = random.Random(53)
+    rejected = [(v.witness, v.support) for v in filter_to_nd_reps(
+        enumerate_diagonal_reps(AbelianGroupSpec.from_factors([4]), 7, 3), 5, 3,
+        structured_limit=0, random_limit=0) if v.status == "rejected"]
+    # in 7 variables an L310 cover never adds to L38, so take an 8-variable
+    # support made of every monomial a cover absorbs
+    labels = (0, 0, 0, 0, 1, 1, 1, 2)
+    support = tuple(e for e in monomials(8, 3) if _cover_ok(e, labels))
+    assert _support_non_smooth(support, 8) is None
+    cover = find_partition_cover(support, 8)
+    assert cover is not None
+    rejected.append((NonSmoothWitness("L310", cover), support))
+    kinds = {w.kind for w, _ in rejected}
+    assert kinds == {"L38-i", "L38-ii", "L38-iii", "L38-iv", "L310"}
+    for w, supp in rejected:
+        m = len(supp[0])
+        for _ in range(10):
+            sub = [e for e in supp if rng.random() < 0.5] or [supp[0]]
+            member = Form(m, 3, 12, {e: zeta(12, rng.randrange(12)) for e in sub})
+            assert replay(w, member), (w, sub)
