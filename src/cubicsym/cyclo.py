@@ -420,21 +420,22 @@ class ModularEmbedding:
     """The ring map Z[zeta_N] -> F_p with zeta_N -> r, extended to the values
     whose denominator is prime to p.
 
-    p is the largest prime below MODULAR_PRIME_BOUND with p = 1 (mod N), so
-    Phi_N splits into distinct linear factors mod p; r is a primitive N-th
-    root of unity mod p, hence a root of Phi_N, and the map is well defined.
+    p is the largest prime below `below` (MODULAR_PRIME_BOUND by default) with
+    p = 1 (mod N), so Phi_N splits into distinct linear factors mod p; r is a
+    primitive N-th root of unity mod p, hence a root of Phi_N, and the map is
+    well defined.
     """
 
     __slots__ = ("conductor", "p", "r", "powers")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, below: int = MODULAR_PRIME_BOUND):
         if n < 1:
             raise ValueError("conductor must be >= 1")
-        p = (MODULAR_PRIME_BOUND - 2) // n * n + 1
+        p = (below - 2) // n * n + 1
         while p > 1 and not _is_prime(p):
             p -= n
-        if p == 1:
-            raise ValueError(f"no prime = 1 (mod {n}) below {MODULAR_PRIME_BOUND}")
+        if p <= 1:
+            raise ValueError(f"no prime = 1 (mod {n}) below {below}")
         proper = divisors(n)[:-1]
         a = 2
         while True:
@@ -459,6 +460,7 @@ class ModularEmbedding:
 
 
 @lru_cache(maxsize=None)
-def modular_embedding(n: int) -> ModularEmbedding:
-    """The embedding for conductor n, built on first use."""
-    return ModularEmbedding(n)
+def modular_embedding(n: int, below: int = MODULAR_PRIME_BOUND) -> ModularEmbedding:
+    """The embedding for conductor n and the largest such prime below `below`,
+    built on first use."""
+    return ModularEmbedding(n, below)

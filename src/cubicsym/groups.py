@@ -1,6 +1,15 @@
 """Finitely generated finite matrix groups over Q(zeta_N).
 
-Closure is breadth-first product closure with canonical-form hashing; the
+Closure is a breadth-first product closure that tells elements apart by
+their images in GL(m, F_p), under the map zeta_N -> r of
+`cyclo.modular_embedding`, and forms one exact product per new element.
+That is exact, not a heuristic.  p = 1 (mod N) is unramified and p >= 3, so
+by Minkowski's lemma the kernel of GL(m, O_P) -> GL(m, F_p) is torsion-free
+(O_P the integers of Q(zeta_N) localized at the prime P above p).  A finite
+G whose generator entries have denominators prime to p lies in GL(m, O_P)
+and meets that kernel trivially, so reduction is injective on G: two
+products with the same image are the same element.  A generator with p in a
+denominator has no image, and closure moves to the next prime below.  The
 element order is the deterministic BFS insertion order for the given
 generator list.
 """
@@ -9,7 +18,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclo import CycNum, common_conductor
+import numpy as np
+
+from .cyclo import CycNum, common_conductor, modular_embedding
 from .diffrank import eigen_partition_witness, eigenvalue_multiset
 from .forms import CycMatrix
 
@@ -89,28 +100,65 @@ class MatGroup:
         return MatGroup(gens)
 
 
+def _modular_images(gens: Sequence[CycMatrix], n: int) -> tuple[np.ndarray, int]:
+    """Images of the generators mod the largest prime p = 1 (mod n) below
+    2^31 that divides none of their denominators, as an int64 (k, m, m) array."""
+    emb = modular_embedding(n)
+    while True:
+        images = [[emb(c) for row in g.rows for c in row] for g in gens]
+        if all(v is not None for img in images for v in img):
+            m = gens[0].dim
+            return np.array(images, dtype=np.int64).reshape(len(gens), m, m), emb.p
+        emb = modular_embedding(n, emb.p)
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for a stack a of shape (k, m, m); entries stay below p < 2^31,
+    so each partial sum stays below p + p^2 < 2^63."""
+    out = np.zeros_like(a)
+    for j in range(b.shape[0]):
+        out += a[:, :, j, None] * b[j]
+        out %= p
+    return out
+
+
 def closure(gens: Sequence[CycMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
-    """Materialize the generated group; raises CapExceeded past the cap."""
+    """Materialize the generated finite group; raises CapExceeded past the cap.
+
+    The breadth-first search runs on images mod p (see the module docstring)
+    and keys each element by its image's bytes; only a new element gets its
+    exact matrix, as its parent times the generator.  The group must be
+    finite: an infinite one is cut down to its image mod p, as
+    [[1, p], [0, 1]], which closes to the identity alone.
+    """
     group = MatGroup(gens, cap=cap)
     for g in group.generators:
         if g.det().is_zero():
             raise ValueError("generators must be invertible")
+    images, p = _modular_images(group.generators, group.conductor)
     ident = CycMatrix.identity(group.dimension, group.conductor)
-    seen = {ident}
+    one = np.eye(group.dimension, dtype=np.int64)
+    seen = {one.tobytes()}
     ordered = [ident]
     frontier = [ident]
+    frontier_images = one[None]
     while frontier:
-        nxt = []
-        for a in frontier:
-            for g in group.generators:
-                b = a * g
-                if b not in seen:
-                    seen.add(b)
-                    ordered.append(b)
-                    nxt.append(b)
+        nxt, nxt_images = [], []
+        products = [_matmul_mod(frontier_images, h, p) for h in images]
+        for i, a in enumerate(frontier):
+            for g, prod in zip(group.generators, products):
+                b = prod[i]
+                key = b.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    x = a * g
+                    ordered.append(x)
+                    nxt.append(x)
+                    nxt_images.append(b)
                     if len(ordered) > cap:
                         raise CapExceeded(len(ordered))
         frontier = nxt
+        frontier_images = np.array(nxt_images)
     return MatGroup(group.generators, elements=tuple(ordered), cap=cap)
 
 

@@ -21,7 +21,7 @@ witness and exhausted answer comes from the exact computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cyclo import modular_embedding
@@ -125,20 +125,34 @@ def partition_non_smooth(f: Form, v1: Sequence[int], v2: Sequence[int],
 
 
 def find_partition_cover(support: Iterable[tuple[int, ...]], m: int):
-    """Search all (V1, V2, V3) covers; return the first one whose patterns absorb
-    every monomial of the support, or None."""
-    supp = list(support)
-    for labels in product((0, 1, 2), repeat=m):
-        n1 = labels.count(0)
-        n2 = labels.count(1)
-        if n1 <= n2:
-            continue
-        if all(_cover_ok(e, labels) for e in supp):
-            v1 = tuple(i for i, l in enumerate(labels) if l == 0)
-            v2 = tuple(i for i, l in enumerate(labels) if l == 1)
-            v3 = tuple(i for i, l in enumerate(labels) if l == 2)
-            return v1, v2, v3
-    return None
+    """Return the first (V1, V2, V3) cover whose patterns absorb every monomial
+    of the support, or None.  "First" is in the order of `product((0, 1, 2),
+    repeat=m)` over the labelings (0, 1, 2 for V1, V2, V3).
+
+    Backtracks over the variables in that order: a monomial is checked as
+    soon as its highest variable is labelled, and a branch stops once
+    |V1| > |V2| can no longer hold.
+    """
+    last: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for e in support:
+        last[max((i for i, x in enumerate(e) if x), default=0)].append(e)
+    labels = [0] * m
+
+    def extend(i: int, n1: int, n2: int) -> bool:
+        if i == m:
+            return n1 > n2
+        for label in (0, 1, 2):
+            labels[i] = label
+            a, b = n1 + (label == 0), n2 + (label == 1)
+            # the variables after i carry no exponent in last[i]
+            if (a + m - 1 - i > b and all(_cover_ok(e, labels) for e in last[i])
+                    and extend(i + 1, a, b)):
+                return True
+        return False
+
+    if not extend(0, 0, 0):
+        return None
+    return tuple(tuple(i for i, l in enumerate(labels) if l == k) for k in range(3))
 
 
 def replay(witness: NonSmoothWitness, f: Form) -> bool:

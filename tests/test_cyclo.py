@@ -123,6 +123,16 @@ def test_modular_embedding_prime_and_root():
     assert emb(CycNum.rational(Fraction(1, emb.p), 12)) is None
     with pytest.raises(ValueError):
         emb(zeta(24))
+    # the next prime = 1 (mod 12) below p: every one in between is composite
+    below = modular_embedding(12, emb.p)
+    assert below.p < emb.p and below.p % 12 == 1
+    assert all(below.p % q for q in range(2, 46341))
+    assert all(any(c % q == 0 for q in range(2, 46341))
+               for c in range(below.p + 12, emb.p, 12))
+    assert below(CycNum.rational(Fraction(1, emb.p), 12)) is not None
+    assert modular_embedding(12, 14).p == 13
+    with pytest.raises(ValueError):
+        modular_embedding(12, 13)
 
 
 def test_root_of_unity_orders():

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from cubicsym import corpus
-from cubicsym.cyclo import CycNum, zeta
+from cubicsym.cyclo import CycNum, modular_embedding, zeta
 from cubicsym.forms import CycMatrix, fixes
 from cubicsym.groups import (CapExceeded, MatGroup, closure, eigen_multisets,
                              is_abelian, is_semi_permutation, is_special,
@@ -45,6 +47,54 @@ def test_cap_exceeded_carries_partial_count():
     with pytest.raises(CapExceeded) as ex:
         closure([d, p], cap=50)
     assert ex.value.count > 50
+
+
+def _exact_closure(gens, cap):
+    # reference: the breadth-first closure that hashes every exact product
+    group = MatGroup(gens)
+    ident = CycMatrix.identity(group.dimension, group.conductor)
+    seen, ordered, frontier = {ident}, [ident], [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in group.generators:
+                b = a * g
+                if b not in seen:
+                    seen.add(b)
+                    ordered.append(b)
+                    nxt.append(b)
+                    if len(ordered) > cap:
+                        raise CapExceeded(len(ordered))
+        frontier = nxt
+    return tuple(ordered)
+
+
+def test_closure_matches_the_exact_breadth_first_search():
+    cases = [corpus.record(rid).generators
+             for rid in ("X3", "X5", "X8", "X10", "X17", "X19", "X20",
+                         "X3'", "X5'", "X8'", "X14'")]
+    cases.append(klein_generators() + [CycMatrix.scalar(7, zeta(3))])
+    for gens in cases:
+        assert closure(gens).elements == _exact_closure(gens, 10_000)
+    with pytest.raises(CapExceeded) as ours:
+        closure(klein_generators(), cap=50)
+    with pytest.raises(CapExceeded) as theirs:
+        _exact_closure(klein_generators(), 50)
+    assert ours.value.count == theirs.value.count
+
+
+def test_closure_moves_past_a_prime_in_a_denominator():
+    p = modular_embedding(1).p
+    swap = CycMatrix.from_rows([[0, p], [Fraction(1, p), 0]])
+    assert modular_embedding(1)(swap.rows[1][0]) is None
+    g = closure([swap])
+    assert g.order == 2
+    assert g.elements == (CycMatrix.identity(2), swap)
+    # read as 0 mod p, swap would fold the dihedral group of order 8 onto 3 images
+    sign = CycMatrix.from_rows([[-1, 0], [0, 1]])
+    dihedral = closure([swap, sign])
+    assert dihedral.order == 8
+    assert dihedral.elements == _exact_closure([swap, sign], 100)
 
 
 def test_closure_rejects_singular_generator():

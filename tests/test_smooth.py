@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,9 @@ from cubicsym import corpus
 from cubicsym.cyclo import CycNum, modular_embedding, zeta
 from cubicsym.forms import Form, apply, evaluate, monomials
 from cubicsym.groebner import buchberger, pure_power_coverage
-from cubicsym.smooth import (NonSmoothWitness, SmoothResult, _smooth_mod_p,
+from cubicsym.reps import AbelianGroupSpec, enumerate_diagonal_reps
+from cubicsym.smooth import (NonSmoothWitness, SmoothResult, _cover_ok,
+                             _smooth_mod_p, _support_non_smooth,
                              combinatorial_non_smooth, find_partition_cover,
                              is_smooth, jacobian_generators,
                              partition_non_smooth, replay)
@@ -43,6 +46,45 @@ def test_six_cubes_in_seven_variables_rejected_by_missing_square():
 def test_fermat_triggers_no_condition():
     assert combinatorial_non_smooth(fermat(7)) is None
     assert find_partition_cover(fermat(7).terms.keys(), 7) is None
+
+
+def _scan_partition_cover(support, m):
+    # reference: every labeling in product order, the first that absorbs the support
+    supp = list(support)
+    for labels in product((0, 1, 2), repeat=m):
+        if labels.count(0) <= labels.count(1):
+            continue
+        if all(_cover_ok(e, labels) for e in supp):
+            return tuple(tuple(i for i, l in enumerate(labels) if l == k) for k in range(3))
+    return None
+
+
+def test_partition_cover_backtracking_matches_the_scan():
+    # the supports the filter hands to the cover search for the witness groups
+    cases = []
+    for factors in ([8], [12], [2, 2], [2, 4], [2, 6], [2, 2, 2]):
+        for rc in enumerate_diagonal_reps(AbelianGroupSpec.from_factors(factors), 7, 3):
+            support = rc.invariant_support()
+            if support and _support_non_smooth(support, 7) is None:
+                cases.append((support, 7))
+    assert len(cases) == 93
+    # random supports, and random subsets of what a random cover absorbs
+    rng = random.Random(71)
+    for m in range(4, 9):
+        monos = monomials(m, 3)
+        for _ in range(12):
+            cases.append((rng.sample(monos, rng.randrange(1, 2 * m)), m))
+            labels = [rng.randrange(3) for _ in range(m)]
+            absorbed = [e for e in monos if _cover_ok(e, labels)]
+            cases.append(([e for e in absorbed if rng.random() < 0.7], m))
+    found = 0
+    for support, m in cases:
+        cover = find_partition_cover(support, m)
+        assert cover == _scan_partition_cover(support, m), (support, m)
+        found += cover is not None
+    assert found > 0
+    assert find_partition_cover([], 3) == ((0, 1, 2), (), ())
+    assert find_partition_cover([], 0) is None
 
 
 def test_ideal_membership_conditions():
