@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from .cyclo import CycNum, common_conductor, zeta
 from .forms import CycMatrix, Form, monomials, partial
-from .groebner import BudgetExhausted, buchberger, pure_power_coverage
+from .groebner import BudgetExhausted, pure_power_certificate
 from .linalg import dense_rank, rank as sparse_rank
 from .smooth import DEFAULT_BUDGET
 
@@ -183,12 +183,10 @@ def s1_non_empty(f: Form, budget: int = DEFAULT_BUDGET) -> S1Result:
         # gram matrix has rank <= 1 identically; smoothness forces rank exactly 1
         return S1Result("yes", tuple([CycNum.one(n)] + [CycNum.zero(n)] * (m - 1)))
     try:
-        gb = buchberger(quadrics, budget_limit=budget)
+        covered = pure_power_certificate(quadrics, budget_limit=budget)
     except BudgetExhausted:
         return S1Result("exhausted")
-    if all(pure_power_coverage(gb, m)):
-        return S1Result("no")
-    return S1Result("exhausted")
+    return S1Result("no" if covered else "exhausted")
 
 
 def span_of_samples(vectors: list) -> int:

@@ -2,19 +2,25 @@
 
 Coefficients are CycNum values, or with `modulus=p` plain ints standing for
 residues mod p; the one loop serves both fields.  Pair selection uses the
-sugar strategy; every reduction renormalizes to a monic leading coefficient.
-All entry points take a step budget and raise BudgetExhausted instead of
-returning a wrong or partial basis.
+sugar strategy, with the chain criterion; every reduction renormalizes to a
+monic leading coefficient.  All entry points take a step budget and raise
+BudgetExhausted instead of returning a wrong or partial basis.
+
+Inside one call a monomial e in m variables is the int K(e) =
+deg(e)*2^(W*m) - sum_i e_i*2^(W*i): K adds under multiplication, a larger K is
+a larger grevlex monomial, and the W-bit fields of (-K) mod 2^(W*m) hold the
+exponents under a guard bit each, so a divides b iff (K(a) - K(b)) & GUARD is 0.
+W is fitted to the input degree, and an lcm of degree above 2^(W-1) - 1 reruns
+the call at double width, so no field wraps.  deg(e) is -(-K >> W*m).  The
+entry points take and return exponent tuples.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import add, le, sub
 from typing import Sequence
 
 from .cyclo import CycNum
-from .forms import grevlex_key
 
 Terms = dict[tuple[int, ...], CycNum | int]
 
@@ -25,108 +31,111 @@ class BudgetExhausted(Exception):
         self.steps = steps
 
 
-def _neg_key(e: tuple[int, ...]):
-    return (-sum(e), tuple(c for c in reversed(e)))
-
-
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(map(le, a, b))
-
-
-def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, a, b))
+class _Overflow(Exception):
+    """An lcm degree does not fit the packed fields."""
 
 
 class GPoly:
-    """Monic polynomial with cached leading data and sugar degree."""
+    """Monic polynomial with its leading monomial and sugar degree; keys are
+    packed ints inside a call and exponent tuples in what a call returns."""
 
     __slots__ = ("terms", "lm", "sugar")
 
-    def __init__(self, terms: Terms, sugar: int | None = None,
-                 modulus: int | None = None):
-        if not terms:
-            raise ValueError("zero polynomial")
-        lm = max(terms, key=grevlex_key)
+    def __init__(self, terms: dict, lm, sugar: int):
+        self.terms, self.lm, self.sugar = terms, lm, sugar
+
+
+class _Ring:
+    """Per-call state: the packing of width W, the field and the budget."""
+
+    def __init__(self, m: int, width: int, modulus: int | None, budget_limit: int):
+        self.m, self.width, self.shift = m, width, width * m
+        self.mask = (1 << self.shift) - 1
+        self.ones = sum(1 << (width * i) for i in range(m))
+        self.guard = self.ones << (width - 1)
+        self.modulus, self.limit, self.spent = modulus, budget_limit, 0
+
+    def pack(self, e: tuple[int, ...]) -> int:
+        return (sum(e) << self.shift) - sum(a << (self.width * i) for i, a in enumerate(e))
+
+    def unpack(self, k: int) -> tuple[int, ...]:
+        x, w = -k & self.mask, self.width
+        return tuple((x >> (w * i)) & ((1 << w) - 1) for i in range(self.m))
+
+    def lcm(self, a: int, b: int) -> int:
+        w, guard = self.width, self.guard
+        xa, xb = -a & self.mask, -b & self.mask
+        ge = ((xa | guard) - xb) & guard  # guard bit set where a_i >= b_i
+        sel = ge - (ge >> (w - 1))
+        x = (xa & sel) | (xb & ~sel)
+        # deg <= deg a + deg b < 2^W, so the field sums below do not carry
+        deg = (x * self.ones >> (self.shift - w)) & ((1 << w) - 1)
+        if deg >> (w - 1):
+            raise _Overflow
+        return (deg << self.shift) - x
+
+    def monic(self, terms: dict, sugar: int | None = None) -> GPoly:
+        lm = max(terms)
         lc = terms[lm]
-        if modulus is not None:
+        if self.modulus is not None:
             if lc != 1:
-                inv = pow(lc, -1, modulus)
-                terms = {e: c * inv % modulus for e, c in terms.items()}
+                inv = pow(lc, -1, self.modulus)
+                terms = {e: c * inv % self.modulus for e, c in terms.items()}
         elif not lc.is_one():
             inv = lc.inv()
             terms = {e: c * inv for e, c in terms.items()}
-        self.terms = terms
-        self.lm = lm
-        self.sugar = sugar if sugar is not None else sum(lm)
+        return GPoly(terms, lm, sugar if sugar is not None else -(-lm >> self.shift))
 
 
-class _Budget:
-    __slots__ = ("limit", "spent")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.spent = 0
-
-    def spend(self, amount: int = 1):
-        self.spent += amount
-        if self.spent > self.limit:
-            raise BudgetExhausted(self.spent)
-
-
-def normal_form(terms: Terms, basis: Sequence[GPoly], budget: _Budget,
-                modulus: int | None = None) -> Terms:
-    """Full normal form (head and tail reduced) against basis.
+def normal_form(terms: dict, basis: Sequence[GPoly], ring: _Ring) -> dict:
+    """Full normal form (head and tail reduced) against basis, on packed keys;
+    each step reduces by the first basis element whose leading term divides.
 
     Mod p the working coefficients are left unreduced, and each one is reduced
     once, when its monomial leaves the heap: every update adds less than p^2,
     so they stay small."""
+    modulus, guard = ring.modulus, ring.guard
     work = dict(terms)
-    heap = [(_neg_key(e)) + (e,) for e in work]
+    heap = [-e for e in work]
     heapq.heapify(heap)
-    out: Terms = {}
+    out = {}
     while heap:
-        entry = heapq.heappop(heap)
-        e = entry[-1]
-        c = work.get(e)
-        if c is not None and modulus is not None:
+        e = -heapq.heappop(heap)
+        c = work.pop(e)
+        if modulus is not None:
             c %= modulus
         if not c:
-            work.pop(e, None)
             continue
-        red = None
-        for g in basis:
-            if _divides(g.lm, e):
-                red = g
+        for red in basis:
+            if not (red.lm - e) & guard:
                 break
-        if red is None:
+        else:
             out[e] = c
-            del work[e]
             continue
-        budget.spend()
-        shift = tuple(map(sub, e, red.lm))
-        del work[e]
+        ring.spent += 1
+        if ring.spent > ring.limit:
+            raise BudgetExhausted(ring.spent)
+        lm = red.lm
+        shift = e - lm
         for ge, gc in red.terms.items():
-            if ge == red.lm:
+            if ge == lm:
                 continue
-            te = tuple(map(add, ge, shift))
+            te = ge + shift
             v = c * gc
             # te < e in grevlex, so te was not popped yet and cannot sit in out
             if te in work:
                 work[te] = work[te] - v
             else:
                 work[te] = -v
-                heapq.heappush(heap, _neg_key(te) + (te,))
+                heapq.heappush(heap, -te)
     return out
 
 
-def _s_poly_terms(f: GPoly, g: GPoly, lcm: tuple[int, ...]) -> Terms:
-    sf = tuple(map(sub, lcm, f.lm))
-    sg = tuple(map(sub, lcm, g.lm))
-    terms: Terms = {}
-    for e, c in f.terms.items():
-        terms[tuple(map(add, e, sf))] = c
+def _s_poly_terms(f: GPoly, g: GPoly, lcm: int) -> dict:
+    sf, sg = lcm - f.lm, lcm - g.lm
+    terms = {e + sf: c for e, c in f.terms.items()}
     for e, c in g.terms.items():
-        te = tuple(map(add, e, sg))
+        te = e + sg
         if te in terms:
             v = terms[te] - c
             if not v:
@@ -138,16 +147,14 @@ def _s_poly_terms(f: GPoly, g: GPoly, lcm: tuple[int, ...]) -> Terms:
     return terms
 
 
-def buchberger(gens: Sequence[Terms], budget_limit: int = 1_000_000,
-               modulus: int | None = None) -> list[GPoly]:
-    """Reduced graded-reverse-lex Groebner basis of the ideal generated by gens,
-    over F_p when modulus = p (gens then hold residues in [0, p))."""
-    budget = _Budget(budget_limit)
+def _grow(gens: list[dict], ring: _Ring):
+    """Buchberger's pair loop; yields each basis element as it is appended."""
     basis: list[GPoly] = []
     for terms in gens:
-        nf = normal_form(terms, basis, budget, modulus) if basis else dict(terms)
+        nf = normal_form(terms, basis, ring) if basis else dict(terms)
         if nf:
-            basis.append(GPoly(nf, modulus=modulus))
+            basis.append(ring.monic(nf))
+            yield basis[-1]
     pairs: list[tuple] = []
     pending: set[tuple[int, int]] = set()
 
@@ -155,59 +162,92 @@ def buchberger(gens: Sequence[Terms], budget_limit: int = 1_000_000,
         g = basis[t]
         for i in range(t):
             f = basis[i]
-            lcm = _lcm(f.lm, g.lm)
-            if lcm == tuple(map(add, f.lm, g.lm)):
+            lcm = ring.lcm(f.lm, g.lm)
+            if lcm == f.lm + g.lm:
                 continue  # coprime leading terms reduce to zero
-            deg = sum(lcm)
-            sugar = max(f.sugar + deg - sum(f.lm), g.sugar + deg - sum(g.lm))
-            heapq.heappush(pairs, (sugar, _neg_key(lcm), i, t, lcm))
+            # -k >> W*m is -deg(k): each sugar grows by deg(lcm) - deg(lm)
+            sugar = -(-lcm >> ring.shift) + max(f.sugar + (-f.lm >> ring.shift),
+                                                g.sugar + (-g.lm >> ring.shift))
+            heapq.heappush(pairs, (sugar, -lcm, i, t))
             pending.add((i, t))
 
     for t in range(len(basis)):
         push_pairs(t)
 
     while pairs:
-        sugar, _, i, j, lcm = heapq.heappop(pairs)
+        sugar, lcm, i, j = heapq.heappop(pairs)
+        lcm = -lcm
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
         # chain criterion: a third leading term dividing the lcm, with both
         # linking pairs already handled, makes this pair redundant
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(basis[k].lm, lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 not in pending and p2 not in pending:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and not (g.lm - lcm) & ring.guard
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, g in enumerate(basis)):
             continue
-        s = _s_poly_terms(basis[i], basis[j], lcm)
-        nf = normal_form(s, basis, budget, modulus)
+        nf = normal_form(_s_poly_terms(basis[i], basis[j], lcm), basis, ring)
         if nf:
-            basis.append(GPoly(nf, sugar=sugar, modulus=modulus))
+            basis.append(ring.monic(nf, sugar))
             push_pairs(len(basis) - 1)
-    return _reduce_basis(basis, budget, modulus)
+            yield basis[-1]
 
 
-def _reduce_basis(basis: list[GPoly], budget: _Budget,
-                  modulus: int | None) -> list[GPoly]:
-    ordered = sorted(basis, key=lambda g: grevlex_key(g.lm))
+def _run(gens: Sequence[Terms], budget_limit: int, modulus: int | None, finish):
+    """finish(ring, _grow(...)) on gens packed at the smallest width that
+    holds their degree, rerun at double width while an lcm overflows."""
+    degree = max((sum(e) for g in gens for e in g), default=0)
+    m = next((len(e) for g in gens for e in g), 0)
+    width = max(8, degree.bit_length() + 1)
+    while True:
+        ring = _Ring(m, width, modulus, budget_limit)
+        try:
+            return finish(ring, _grow([{ring.pack(e): c for e, c in g.items()}
+                                       for g in gens], ring))
+        except _Overflow:
+            width *= 2
+
+
+def _reduce_basis(ring: _Ring, grown) -> list[GPoly]:
     kept: list[GPoly] = []
-    for g in ordered:
-        if not any(_divides(h.lm, g.lm) for h in kept):
+    for g in sorted(grown, key=lambda g: g.lm):
+        if all((h.lm - g.lm) & ring.guard for h in kept):
             kept.append(g)
     reduced = []
     for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        nf = normal_form(g.terms, others, budget, modulus)
+        nf = normal_form(g.terms, kept[:idx] + kept[idx + 1:], ring)
         if nf:
-            reduced.append(GPoly(nf, modulus=modulus))
-    reduced.sort(key=lambda g: grevlex_key(g.lm), reverse=True)
-    return reduced
+            reduced.append(ring.monic(nf))
+    reduced.sort(key=lambda g: g.lm, reverse=True)
+    return [GPoly({ring.unpack(e): c for e, c in g.terms.items()}, ring.unpack(g.lm), g.sugar)
+            for g in reduced]
+
+
+def buchberger(gens: Sequence[Terms], budget_limit: int = 1_000_000,
+               modulus: int | None = None) -> list[GPoly]:
+    """Reduced graded-reverse-lex Groebner basis of the ideal generated by gens,
+    over F_p when modulus = p (gens then hold residues in [0, p))."""
+    return _run(gens, budget_limit, modulus, _reduce_basis)
+
+
+def _covers(ring: _Ring, grown) -> bool:
+    covered = set()
+    for g in grown:
+        nz = [i for i, a in enumerate(ring.unpack(g.lm)) if a]
+        if len(nz) < 2:  # a pure power, or no variable: the unit ideal
+            covered.update(nz or range(ring.m))
+            if len(covered) == ring.m:
+                return True
+    return False
+
+
+def pure_power_certificate(gens: Sequence[Terms], budget_limit: int = 1_000_000,
+                           modulus: int | None = None) -> bool:
+    """all(pure_power_coverage(buchberger(gens, ...))), from the pair loop of
+    `buchberger`: it returns as soon as the leading monomials found so far
+    cover every variable, and never reduces the basis."""
+    return _run(gens, budget_limit, modulus, _covers)
 
 
 def pure_power_coverage(basis: Sequence[GPoly], nvars: int) -> list[bool]:

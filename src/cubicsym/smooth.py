@@ -5,13 +5,16 @@ certificates of singularity), plus an exact decision through the Jacobian
 criterion: X_F is smooth iff the partials have no common projective zero,
 certified by pure-power leading terms in a graded-reverse-lex Groebner basis.
 
-Before the exact basis over Q(zeta_N), `is_smooth` computes one over F_p,
+Before the exact basis over Q(zeta_N), `is_smooth` runs Buchberger over F_p,
 through the map zeta_N -> r of `cyclo.modular_embedding`, whose kernel on
 Z[zeta_N] is a prime ideal P above p.  That certificate is one-sided.  The resultant of
 the m partials is an integer polynomial in their coefficients, and reduction
 mod P commutes with it.  Pure powers of every variable mod p mean the reduced
 partials have no common zero over the algebraic closure of F_p, so the
-resultant is not in P, hence not zero, hence X_F is smooth.  Any other outcome
+resultant is not in P, hence not zero, hence X_F is smooth.  Any elements of
+the ideal I mod p serve, not only its reduced basis: leading terms x_i^(a_i)
+put every x_i^(a_i) in in(I), so S/in(I), and with it S/I, is finite-dimensional.
+So the run stops at the first cover (`pure_power_certificate`).  Any other outcome
 mod p (no pure-power cover, a partial that vanishes mod p, a denominator
 divisible by p, an exhausted budget) proves nothing, and the exact path
 decides as if the modular run had not happened: every singular verdict,
@@ -26,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .cyclo import modular_embedding
 from .forms import Form, partial
-from .groebner import BudgetExhausted, buchberger, pure_power_coverage
+from .groebner import BudgetExhausted, buchberger, pure_power_certificate, pure_power_coverage
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -181,8 +184,8 @@ def jacobian_generators(f: Form) -> list[dict]:
 
 
 def _smooth_mod_p(partials: Sequence[dict], conductor: int, budget: int) -> bool:
-    """True when the partials reduced mod p have pure powers of every variable
-    in their Groebner basis, which certifies smoothness; False proves nothing."""
+    """True when leading terms of the partials' ideal mod p include a pure power
+    of every variable, which certifies smoothness; False proves nothing."""
     emb = modular_embedding(conductor)
     reduced = []
     for terms in partials:
@@ -197,10 +200,9 @@ def _smooth_mod_p(partials: Sequence[dict], conductor: int, budget: int) -> bool
             return False
         reduced.append(image)
     try:
-        gb = buchberger(reduced, budget_limit=budget, modulus=emb.p)
+        return pure_power_certificate(reduced, budget_limit=budget, modulus=emb.p)
     except BudgetExhausted:
         return False
-    return all(pure_power_coverage(gb, len(partials)))
 
 
 def is_smooth(f: Form, budget: int = DEFAULT_BUDGET) -> SmoothResult:

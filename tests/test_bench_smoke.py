@@ -39,6 +39,10 @@ def test_traced_run_prints_one_passing_json_object(tmp_path):
     # the closure hook reads MatGroup.order: X20 has 301 elements and X8' 32
     assert out["layers"].get("groups", 0) > 0
     assert out["metrics"]["groups.closure_elements"]["value"] == 333
+    # the groebner hooks wrap module attributes: both loops must call
+    # normal_form through the module global for the layer to show
+    assert out["layers"].get("groebner", 0) > 0
+    assert out["metrics"]["groebner.normal_form_calls"]["value"] > 0
     assert (tmp_path / "spans.gz").stat().st_size > 0
 
 
