@@ -231,14 +231,18 @@ def buchberger(gens: Sequence[Terms], budget_limit: int = 1_000_000,
     return _run(gens, budget_limit, modulus, _reduce_basis)
 
 
+def _covered_by(lm: tuple[int, ...]) -> Sequence[int]:
+    """Variables lm covers: i if lm is a power of x_i, all if lm is 1 (the unit ideal)."""
+    nz = [i for i, a in enumerate(lm) if a]
+    return nz if len(nz) == 1 else () if nz else range(len(lm))
+
+
 def _covers(ring: _Ring, grown) -> bool:
     covered = set()
     for g in grown:
-        nz = [i for i, a in enumerate(ring.unpack(g.lm)) if a]
-        if len(nz) < 2:  # a pure power, or no variable: the unit ideal
-            covered.update(nz or range(ring.m))
-            if len(covered) == ring.m:
-                return True
+        covered.update(_covered_by(ring.unpack(g.lm)))
+        if len(covered) == ring.m:
+            return True
     return False
 
 
@@ -252,11 +256,5 @@ def pure_power_certificate(gens: Sequence[Terms], budget_limit: int = 1_000_000,
 
 def pure_power_coverage(basis: Sequence[GPoly], nvars: int) -> list[bool]:
     """covered[i] is true when some basis element leads with a pure power of x_i."""
-    covered = [False] * nvars
-    for g in basis:
-        nz = [i for i, e in enumerate(g.lm) if e]
-        if len(nz) == 1:
-            covered[nz[0]] = True
-        elif len(nz) == 0:
-            return [True] * nvars  # unit ideal
-    return covered
+    covered = {i for g in basis for i in _covered_by(g.lm)}
+    return [i in covered for i in range(nvars)]
