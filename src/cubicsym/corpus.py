@@ -439,7 +439,6 @@ class ExampleRecord:
     projective_order: int               # the published group order
     closure_order: int | None           # linear order of the shipped generators
     symplectic_order: int | None        # fourfolds with full generators only
-    enumerable: bool                    # closure is cheap enough to run by default
     partial: bool                       # shipped generators cover only a subgroup
     notes: str = ""
 
@@ -449,14 +448,14 @@ def _fivefold_builders():
         form = _form(7, _cubes(7, range(7)))
         gens = [_diag(7, {0: W3, 1: W3 * W3})] + _sn_perms(7, list(range(7)))
         return ExampleRecord("X1", form, tuple(gens), 3674160, 3674160, None,
-                             False, False, "Fermat")
+                             False, "Fermat")
 
     def x2():
         form = _form(7, _hesse(0, 1, 2) + _cubes(7, (3, 4, 5, 6)))
         gens = _hesse_trio(7, 0, 1, 2) + _fermat_free_diags(7, [3, 4, 5, 6]) \
             + _sn_perms(7, [3, 4, 5, 6])
         return ExampleRecord("X2", form, tuple(gens), 69984, 69984, None,
-                             False, False)
+                             False)
 
     def x3():
         form = _form(7, _chain([0, 1, 2, 3]) + _cubes(7, (3, 4, 5, 6)))
@@ -464,7 +463,7 @@ def _fivefold_builders():
                 _diag(7, {4: W3}), _diag(7, {5: W3}), _diag(7, {6: W3})] \
             + _sn_perms(7, [4, 5, 6])
         return ExampleRecord("X3", form, tuple(gens), 1296, 1296, None,
-                             True, False)
+                             False)
 
     def x4():
         form, sgens = _hyperplane_fermat(7, 4)
@@ -473,14 +472,14 @@ def _fivefold_builders():
         gens = sgens + [_diag(7, {4: W3}), _diag(7, {5: W3}), _diag(7, {6: W3})] \
             + _sn_perms(7, [4, 5, 6])
         return ExampleRecord("X4", form, tuple(gens), 19440, 19440, None,
-                             False, False, "hyperplane section of Fermat in 8 variables")
+                             False, "hyperplane section of Fermat in 8 variables")
 
     def x5():
         form = _form(7, _chain([0, 1, 2, 3, 4]) + _cubes(7, (4, 5, 6)))
         gens = [_chain_diag(7, [0, 1, 2, 3, 4], 48),
                 _diag(7, {5: W3, 6: W3 * W3}), _swap(7, 5, 6)]
         return ExampleRecord("X5", form, tuple(gens), 288, 288, None,
-                             True, False)
+                             False)
 
     def x6():
         form = _form(7, _cycle([0, 1, 2, 3, 4]) + _cubes(7, (5, 6)))
@@ -488,7 +487,7 @@ def _fivefold_builders():
                 _perm(7, {0: 1, 1: 2, 2: 3, 3: 4, 4: 0}),
                 _diag(7, {5: W3}), _diag(7, {6: W3}), _swap(7, 5, 6)]
         return ExampleRecord("X6", form, tuple(gens), 11880, 990, None,
-                             True, True,
+                             True,
                              "PSL(2,11) part available only in ancillary files")
 
     def x7():
@@ -496,37 +495,37 @@ def _fivefold_builders():
         gens = _hesse_trio(7, 0, 1, 2) + _hesse_trio(7, 3, 4, 5) \
             + [_perm(7, {0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2})]
         return ExampleRecord("X7", form, tuple(gens), 23328, 23328, None,
-                             False, False)
+                             False)
 
     def x8():
         form = _form(7, _chain([0, 1, 2, 3]) + [(1, (3, 3, 3))] + _hesse(4, 5, 6))
         gens = [_chain_diag(7, [0, 1, 2, 3], 8)] + _hesse_trio(7, 4, 5, 6)
         return ExampleRecord("X8", form, tuple(gens), 864, 864, None,
-                             True, False)
+                             False)
 
     def x9():
         form, sgens = _hyperplane_fermat(7, 4)
         form = form + _form(7, _hesse(4, 5, 6))
         gens = sgens + _hesse_trio(7, 4, 5, 6)
         return ExampleRecord("X9", form, tuple(gens), 12960, 12960, None,
-                             False, False, "hyperplane section plus Hesse block")
+                             False, "hyperplane section plus Hesse block")
 
     def x10():
         form = _form(7, _chain([0, 1, 2, 3, 4, 5]) + _cubes(7, (5, 6)))
         gens = [_chain_diag(7, [0, 1, 2, 3, 4, 5], 96)]
         return ExampleRecord("X10", form, tuple(gens), 96, 96, None,
-                             True, False)
+                             False)
 
     def x11():
         form = _form(7, _cycle([0, 1, 2, 3, 4, 5]) + _cubes(7, (6,)))
         gens = [_chain_diag(7, [0, 1, 2, 3, 4, 5], 63),
                 _perm(7, {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 0})]
         return ExampleRecord("X11", form, tuple(gens), 378, 378, None,
-                             True, False)
+                             False)
 
     def x12():
         form = hat(_fourfold_builders()["X10'"]().form)
-        return ExampleRecord("X12", form, (), 2160, None, None, False, True,
+        return ExampleRecord("X12", form, (), 2160, None, None, True,
                              "C3.M10 generators live in ancillary files")
 
     def x13():
@@ -534,7 +533,7 @@ def _fivefold_builders():
         form = form + _form(7, _cubes(7, (6,)))
         gens = sgens + [_diag(7, {6: W3})]
         return ExampleRecord("X13", form, tuple(gens), 15120, 15120, None,
-                             False, False, "hyperplane section of Fermat in 8 variables")
+                             False, "hyperplane section of Fermat in 8 variables")
 
     def x14():
         form = _form(7, [(1, (0, 0, 1)), (1, (1, 1, 4)), (1, (2, 2, 3)),
@@ -544,7 +543,7 @@ def _fivefold_builders():
                       4: zeta(12, 4), 5: zeta(12, 4)})
         gens = [d, _perm(7, {0: 2, 2: 0, 1: 3, 3: 1})]
         return ExampleRecord("X14", form, tuple(gens), 96, 24, None,
-                             True, True,
+                             True,
                              "non-semi-permutation part available only in ancillary files")
 
     def x15():
@@ -553,7 +552,7 @@ def _fivefold_builders():
                           4: zeta(4), 5: zeta(8, 7), 6: zeta(8)}),
                 _x15_big_matrix()]
         return ExampleRecord("X15", form, tuple(gens), 1008, 1008, None,
-                             True, False)
+                             False)
 
     def x16():
         form = _form(7, _shift_terms(_a7_terms(), 0) + [(1, (6, 6, 6))])
@@ -561,30 +560,30 @@ def _fivefold_builders():
         g1 = _embed_block(a1, 7)
         g2 = _embed_block(a2, 7)
         return ExampleRecord("X16", form, (g1, g2), 7560, None, None,
-                             False, False)
+                             False)
 
     def x17():
         form = _form(7, [(1, (0, 0, 0))] + _shift_terms(_f14p_terms(), 1))
         return ExampleRecord("X17", form, tuple(_x17_matrices()), 144, 144, None,
-                             True, False)
+                             False)
 
     def x18():
         form = _form(7, [(1, (0, 0, 0))] + _shift_terms(_f15p_terms(), 1))
         return ExampleRecord("X18", form, tuple(_x18_matrices()), 648, 648, None,
-                             True, False)
+                             False)
 
     def x19():
         form = _form(7, _chain([0, 1, 2, 3, 4, 5, 6]) + _cubes(7, (6,)))
         gens = [_chain_diag(7, [0, 1, 2, 3, 4, 5, 6], 64)]
         return ExampleRecord("X19", form, tuple(gens), 64, 64, None,
-                             True, False)
+                             False)
 
     def x20():
         form = _form(7, _cycle([0, 1, 2, 3, 4, 5, 6]))
         gens = [_chain_diag(7, [0, 1, 2, 3, 4, 5, 6], 43),
                 _perm(7, {i: (i + 1) % 7 for i in range(7)})]
         return ExampleRecord("X20", form, tuple(gens), 301, 301, None,
-                             True, False, "Klein")
+                             False, "Klein")
 
     return {f"X{i}": fn for i, fn in enumerate(
         [x1, x2, x3, x4, x5, x6, x7, x8, x9, x10,
@@ -623,28 +622,28 @@ def _fourfold_builders():
         form = _form(6, _cubes(6, range(6)))
         gens = [_diag(6, {i: W3}) for i in range(6)] + _sn_perms(6, list(range(6)))
         return ExampleRecord("X1'", form, tuple(gens), 174960, 524880, 29160,
-                             False, False, "Fermat fourfold")
+                             False, "Fermat fourfold")
 
     def x2p():
         form = _form(6, _hesse(0, 1, 2) + _cubes(6, (3, 4, 5)))
         gens = _hesse_trio(6, 0, 1, 2) + [_diag(6, {i: W3}) for i in (3, 4, 5)] \
             + _sn_perms(6, [3, 4, 5])
         return ExampleRecord("X2'", form, tuple(gens), 5832, 17496, 486,
-                             False, False)
+                             False)
 
     def x3p():
         form = _form(6, _chain([0, 1, 2, 3]) + _cubes(6, (3, 4, 5)))
         gens = [_chain_diag(6, [0, 1, 2, 3], 8),
                 _diag(6, {4: W3}), _diag(6, {5: W3}), _swap(6, 4, 5)]
         return ExampleRecord("X3'", form, tuple(gens), 144, 144, 6,
-                             True, False)
+                             False)
 
     def x4p():
         form, sgens = _hyperplane_fermat(6, 4)
         form = form + _form(6, _cubes(6, (4, 5)))
         gens = sgens + [_diag(6, {4: W3}), _diag(6, {5: W3}), _swap(6, 4, 5)]
         return ExampleRecord("X4'", form, tuple(gens), 2160, 2160, 360,
-                             True, False)
+                             False)
 
     def x5p():
         form = _form(6, _chain([0, 1, 2, 3, 4]) + _cubes(6, (4, 5)))
@@ -652,7 +651,7 @@ def _fourfold_builders():
                                     zeta(4).embed(16), CycNum.rational(-1, 16),
                                     CycNum.one(16), W3])]
         return ExampleRecord("X5'", form, tuple(gens), 48, 48, 1,
-                             True, False)
+                             False)
 
     def x6p():
         form = _form(6, _cycle([0, 1, 2, 3, 4]) + _cubes(6, (5,)))
@@ -660,7 +659,7 @@ def _fourfold_builders():
                 _perm(6, {0: 1, 1: 2, 2: 3, 3: 4, 4: 0}),
                 _diag(6, {5: W3})]
         return ExampleRecord("X6'", form, tuple(gens), 1980, 165, None,
-                             True, True,
+                             True,
                              "PSL(2,11) part available only in ancillary files")
 
     def x7p():
@@ -668,20 +667,20 @@ def _fourfold_builders():
         gens = _hesse_trio(6, 0, 1, 2) + _hesse_trio(6, 3, 4, 5) \
             + [_perm(6, {0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2})]
         return ExampleRecord("X7'", form, tuple(gens), 7776, 23328, 1944,
-                             False, False)
+                             False)
 
     def x8p():
         form = _form(6, _chain([0, 1, 2, 3, 4, 5]) + _cubes(6, (5,)))
         gens = [_chain_diag(6, [0, 1, 2, 3, 4, 5], 32)]
         return ExampleRecord("X8'", form, tuple(gens), 32, 32, 1,
-                             True, False)
+                             False)
 
     def x9p():
         form = _form(6, _cycle([0, 1, 2, 3, 4, 5]))
         gens = [_chain_diag(6, [0, 1, 2, 3, 4, 5], 63),
                 _perm(6, {i: (i + 1) % 6 for i in range(6)})]
         return ExampleRecord("X9'", form, tuple(gens), 126, 378, 21,
-                             True, False)
+                             False)
 
     def x10p():
         w6 = zeta(6).embed(24)
@@ -704,13 +703,13 @@ def _fourfold_builders():
                 coeff = c * (-w6)
             terms.append((coeff, vs))
         form = _form(6, terms, conductor=24)
-        return ExampleRecord("X10'", form, (), 720, None, 720, False, True,
+        return ExampleRecord("X10'", form, (), 720, None, 720, True,
                              "M10 generators live in ancillary files")
 
     def x11p():
         form, sgens = _hyperplane_fermat(6, 6)
         return ExampleRecord("X11'", form, tuple(sgens), 5040, 5040, 2520,
-                             True, False, "hyperplane section of Fermat in 7 variables")
+                             False, "hyperplane section of Fermat in 7 variables")
 
     def x12p():
         form = _form(6, [(1, (0, 0, 1)), (1, (1, 1, 4)), (1, (2, 2, 3)),
@@ -720,7 +719,7 @@ def _fourfold_builders():
                       4: zeta(12, 4), 5: zeta(12, 4)})
         gens = [d, _perm(6, {0: 2, 2: 0, 1: 3, 3: 1})]
         return ExampleRecord("X12'", form, tuple(gens), 32, 24, None,
-                             True, True,
+                             True,
                              "non-semi-permutation part available only in ancillary files")
 
     def x13p():
@@ -730,21 +729,21 @@ def _fourfold_builders():
                                     zeta(8, 7).embed(24), zeta(8).embed(24)]),
                 _restrict_block(_x15_big_matrix(), drop_first=True)]
         return ExampleRecord("X13'", form, tuple(gens), 336, 336, 168,
-                             True, False)
+                             False)
 
     def x14p():
         form = _form(6, _f14p_terms())
         gens = [_restrict_block(m, drop_first=True) for m in _x17_matrices()]
         # the restricted blocks generate the scalar extension C3 x GL(2,3)
         return ExampleRecord("X14'", form, tuple(gens), 48, 144, 48,
-                             True, False)
+                             False)
 
     def x15p():
         form = _form(6, _f15p_terms())
         gens = [_restrict_block(m, drop_first=True) for m in _x18_matrices()]
         # the restricted blocks generate the scalar extension of the projective group
         return ExampleRecord("X15'", form, tuple(gens), 216, 648, 72,
-                             True, False)
+                             False)
 
     return {rid: fn for rid, fn in [
         ("X1'", x1p), ("X2'", x2p), ("X3'", x3p), ("X4'", x4p), ("X5'", x5p),

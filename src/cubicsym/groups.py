@@ -36,11 +36,10 @@ class CapExceeded(Exception):
 class MatGroup:
     """Subgroup of GL(m, Q(zeta_N)) given by generators, optionally materialized."""
 
-    __slots__ = ("dimension", "conductor", "generators", "elements", "cap")
+    __slots__ = ("dimension", "conductor", "generators", "elements")
 
     def __init__(self, generators: Sequence[CycMatrix],
-                 elements: tuple[CycMatrix, ...] | None = None,
-                 cap: int = DEFAULT_CAP):
+                 elements: tuple[CycMatrix, ...] | None = None):
         gens = list(generators)
         if not gens:
             raise ValueError("need at least one generator")
@@ -53,7 +52,6 @@ class MatGroup:
         self.conductor = n
         self.generators = tuple(gens)
         self.elements = elements
-        self.cap = cap
 
     @property
     def order(self) -> int:
@@ -131,7 +129,7 @@ def closure(gens: Sequence[CycMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
     finite: an infinite one is cut down to its image mod p, as
     [[1, p], [0, 1]], which closes to the identity alone.
     """
-    group = MatGroup(gens, cap=cap)
+    group = MatGroup(gens)
     for g in group.generators:
         if g.det().is_zero():
             raise ValueError("generators must be invertible")
@@ -159,7 +157,7 @@ def closure(gens: Sequence[CycMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
                         raise CapExceeded(len(ordered))
         frontier = nxt
         frontier_images = np.array(nxt_images)
-    return MatGroup(group.generators, elements=tuple(ordered), cap=cap)
+    return MatGroup(group.generators, elements=tuple(ordered))
 
 
 def scalar_elements(group: MatGroup) -> list[CycMatrix]:

@@ -348,8 +348,7 @@ def _canonical_block(cols: list[np.ndarray], tables: np.ndarray) -> list[np.ndar
     return [c[keep] for c in cols]
 
 
-def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int,
-                    progress: bool = False) -> tuple[np.ndarray, bool]:
+def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int) -> tuple[np.ndarray, bool]:
     """Orderly generation of canonical column-multiset rows (indices into the
     dual-group element list); a candidate survives only when no transform gives
     a strictly smaller sorted row.  Candidates are held as one array per column
@@ -361,7 +360,7 @@ def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int,
     dtype = np.uint16 if order > 255 else np.uint8
     tables = tables.astype(dtype)
     cols: list[np.ndarray] = []  # the prefixes, one array per column
-    for level in range(m):
+    for _ in range(m):
         lasts = cols[-1].astype(np.int64) if cols else np.zeros(1, dtype=np.int64)
         if lasts.size == 0:
             break
@@ -371,8 +370,6 @@ def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int,
         cand = [c[idx] for c in cols] + [newcol]
         cols = [np.concatenate(part) for part in zip(*(
             _canonical_block([c[b] for c in cand], tables) for b in _blocks(newcol.size)))]
-        if progress:
-            print(f"  level {level + 1}: {cols[0].size} canonical prefixes", flush=True)
     rows = np.stack(cols, axis=1) if cols else np.zeros((1, 0), dtype=dtype)
     return rows, complete
 
@@ -439,15 +436,14 @@ def _rows_to_classes(rows: np.ndarray, spec: AbelianGroupSpec, m: int, d: int) -
 ENUM_MATERIALIZE_CAP = 200_000
 
 
-def enumerate_diagonal_reps(spec: AbelianGroupSpec, m: int, d: int,
-                            progress: bool = False) -> list[RepClass]:
+def enumerate_diagonal_reps(spec: AbelianGroupSpec, m: int, d: int) -> list[RepClass]:
     """One representative per d-equivalence class of faithful diagonal
     representations with injective projective image, in deterministic order.
 
     Groups whose class count exceeds the materialization cap should go through
     classify(), which keeps the bulk of the work vectorized.
     """
-    rows, complete = _canonical_rows(spec, m, d, progress)
+    rows, complete = _canonical_rows(spec, m, d)
     rows = rows[_valid_mask(rows, spec)]
     if rows.shape[0] > ENUM_MATERIALIZE_CAP:
         raise ValueError(
@@ -476,6 +472,9 @@ class RepVerdict:
     support: tuple[tuple[int, ...], ...]
 
 
+# the witness search's tries per class, before it calls the class undecided
+STRUCTURED_TRIES = 64
+RANDOM_TRIES = 200
 _WITNESS_COEFFS = None
 
 
@@ -494,10 +493,7 @@ def _require_cubic(d: int) -> None:
         raise ValueError(f"the smoothness filter handles degree 3 only, got degree {d}")
 
 
-def filter_to_nd_reps(classes: Sequence[RepClass], n: int, d: int,
-                      gb_budget: int = 1_000_000,
-                      structured_limit: int = 64,
-                      random_limit: int = 200) -> list[RepVerdict]:
+def filter_to_nd_reps(classes: Sequence[RepClass], n: int, d: int) -> list[RepVerdict]:
     """Classify each representation class: reject when the full invariant
     support already violates smoothness, otherwise hunt for a smooth invariant
     witness form; undecided when the search budget runs out.
@@ -530,15 +526,13 @@ def filter_to_nd_reps(classes: Sequence[RepClass], n: int, d: int,
             w = NonSmoothWitness("L310", cover)
             out.append(RepVerdict(rc, "rejected", None, w, support))
             continue
-        verdict = _search_smooth_witness(rc, support, gb_budget,
-                                         structured_limit, random_limit, rng)
-        out.append(verdict)
+        out.append(_search_smooth_witness(rc, support, rng))
     return out
 
 
-def _search_smooth_witness(rc: RepClass, support, gb_budget: int,
-                           structured_limit: int, random_limit: int,
-                           rng: random.Random) -> RepVerdict:
+def _search_smooth_witness(rc: RepClass, support, rng: random.Random) -> RepVerdict:
+    """Smooth witness forms: one monomial x_i^2 x_j per variable, then random
+    coefficients on the whole support."""
     m = rc.m
     options = []
     for i in range(m):
@@ -554,18 +548,16 @@ def _search_smooth_witness(rc: RepClass, support, gb_budget: int,
             continue
         seen.add(chosen)
         count += 1
-        if count > structured_limit:
+        if count > STRUCTURED_TRIES:
             break
         cand = Form(m, 3, 1, {e: one for e in chosen})
-        res = is_smooth(cand, gb_budget)
-        if res.status == "smooth":
+        if is_smooth(cand).status == "smooth":
             return RepVerdict(rc, "accepted", cand, None, support)
     coeffs = _witness_coeffs()
-    for _ in range(random_limit):
+    for _ in range(RANDOM_TRIES):
         terms = {e: rng.choice(coeffs) for e in support}
         cand = Form(m, 3, 12, terms)
-        res = is_smooth(cand, gb_budget)
-        if res.status == "smooth":
+        if is_smooth(cand).status == "smooth":
             return RepVerdict(rc, "accepted", cand, None, support)
     return RepVerdict(rc, "undecided", None, None, support)
 
@@ -621,11 +613,7 @@ def _bulk_square_mask(rows: np.ndarray, spec: AbelianGroupSpec) -> np.ndarray:
     return _row_mask(rows, block)
 
 
-def classify(spec: AbelianGroupSpec, m: int, d: int,
-             gb_budget: int = 1_000_000,
-             structured_limit: int = 64,
-             random_limit: int = 200,
-             progress: bool = False) -> ClassificationReport:
+def classify(spec: AbelianGroupSpec, m: int, d: int) -> ClassificationReport:
     """Enumerate all classes and classify them, keeping the bulk of the work
     vectorized: classes whose support misses every x_i^2 x_j for some i are
     rejected wholesale, the rest get the full filter.
@@ -636,15 +624,12 @@ def classify(spec: AbelianGroupSpec, m: int, d: int,
     total_exact is False.  The verdicts, and so the accepted count, stay exact.
     """
     _require_cubic(d)
-    rows, complete = _canonical_rows(spec, m, d, progress)
+    rows, complete = _canonical_rows(spec, m, d)
     rows = rows[_valid_mask(rows, spec)]
     total = int(rows.shape[0])
     square_ok = _bulk_square_mask(rows, spec)
     survivors = rows[square_ok]
     bulk_rejected = total - int(survivors.shape[0])
-    if progress:
-        print(f"  {total} valid classes, {bulk_rejected} bulk-rejected, "
-              f"{survivors.shape[0]} to filter", flush=True)
     classes = _rows_to_classes(survivors, spec, m, d)
     if not complete:
         by_canonical: dict[tuple, RepClass] = {}
@@ -655,6 +640,5 @@ def classify(spec: AbelianGroupSpec, m: int, d: int,
         dropped = len(classes) - len(by_canonical)
         classes = list(by_canonical.values())
         total -= dropped
-    verdicts = filter_to_nd_reps(classes, m - 2, d, gb_budget,
-                                 structured_limit, random_limit)
+    verdicts = filter_to_nd_reps(classes, m - 2, d)
     return ClassificationReport(spec, m, d, total, bulk_rejected, tuple(verdicts), complete)

@@ -52,3 +52,27 @@ def test_ready_probe_dumps_every_record():
     records = json.loads(r.stdout)
     assert len(records) == 35
     assert all(len(orders) == 3 for orders in records.values())
+
+
+def test_run_lines_have_the_shape_the_benchmark_reads(tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import task_failure
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    tasks = [{"task": "verify", "id": "X20"},
+             {"task": "reps-count", "abelian": "2,2", "vars": 7, "degree": 3}]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(tasks))
+    r = _run(["-m", "cubicsym", "run", str(manifest)])
+    assert r.returncode == 0, r.stderr
+    lines = [json.loads(ln) for ln in r.stdout.splitlines()]
+    assert len(lines) == len(tasks)
+    for i, (task, line) in enumerate(zip(tasks, lines)):
+        assert list(line) == ["index", "task", "inputs", "result", "status", "elapsed"]
+        assert line["index"] == i and line["task"] == task["task"]
+        assert line["inputs"] == {k: v for k, v in task.items() if k != "task"}
+        assert isinstance(line["elapsed"], float)
+        assert task_failure(task, line) is None, line
+    assert lines[0]["result"] == {"smooth": "pass", "invariance": "pass", "order": "pass",
+                                  "projective-order": "pass"}

@@ -154,3 +154,101 @@ def test_shipped_manifest_examples():
     assert r.returncode == 0
     lines = [json.loads(ln) for ln in r.stdout.splitlines()]
     assert all(ln["status"] == "PASS" for ln in lines)
+
+
+STATUS_OF_EXIT = {0: "PASS", 1: "FAIL", 2: "ERROR", 3: "EXHAUSTED"}
+
+
+def test_subcommands_and_run_share_each_job(exported):
+    e = exported
+    x20f, x20g = str(e / "x20.form"), str(e / "x20.group")
+    x5f, x5g = str(e / "x5.form"), str(e / "x5.group")
+    x5pf = str(e / "x5p.form")
+    from cubicsym import corpus
+    x5pm = e / "x5p_gen.matrix"
+    x5pm.write_text(corpus.record("X5'").generators[0].encode())
+    cases = [  # (subcommand, the same job as a manifest task, status)
+        (["smooth", "--form", x20f], {"task": "smooth", "form": x20f}, "PASS"),
+        (["smooth", "--form", x20f, "--budget", "1"],
+         {"task": "smooth", "form": x20f, "budget": 1}, "EXHAUSTED"),
+        (["smooth", "--form", str(e / "missing.form")],
+         {"task": "smooth", "form": str(e / "missing.form")}, "ERROR"),
+        (["order", "--group", x20g, "--expect", "301"],
+         {"task": "order", "group": x20g, "expect": 301}, "PASS"),
+        (["order", "--group", x20g, "--expect", "300"],
+         {"task": "order", "group": x20g, "expect": 300}, "FAIL"),
+        (["order", "--group", x20g, "--cap", "10"],
+         {"task": "order", "group": x20g, "cap": 10}, "EXHAUSTED"),
+        (["check-invariance", "--group", x5g, "--form", x5f],
+         {"task": "check-invariance", "group": x5g, "form": x5f}, "PASS"),
+        (["check-invariance", "--group", x5g, "--form", x20f],
+         {"task": "check-invariance", "group": x5g, "form": x20f}, "FAIL"),
+        (["invariants", "--group", x5g, "--degree", "1"],
+         {"task": "invariants-dim", "group": x5g, "degree": 1}, "PASS"),
+        (["symplectic", "--matrix", str(x5pm), "--form", x5pf],
+         {"task": "symplectic", "matrix": str(x5pm), "form": x5pf}, "PASS"),
+        (["symplectic", "--matrix", x5g, "--form", x5pf],
+         {"task": "symplectic", "matrix": x5g, "form": x5pf}, "ERROR"),
+        (["reps", "--abelian", "2", "--filter"], {"task": "reps-count", "abelian": "2"}, "PASS"),
+        (["example", "verify", "X20"], {"task": "verify", "id": "X20"}, "PASS"),
+        (["example", "verify", "X99"], {"task": "verify", "id": "X99"}, "ERROR"),
+    ]
+    for argv, task, status in cases:
+        assert STATUS_OF_EXIT[main(argv)] == status, argv
+        assert _run_task(task)["status"] == status, task
+
+
+def test_expect_mismatches_fail_in_run(exported):
+    e = exported
+    for task in ({"task": "smooth", "form": str(e / "x20.form"), "expect": "singular"},
+                 {"task": "invariants-dim", "group": str(e / "x5.group"), "degree": 1,
+                  "expect": 1},
+                 {"task": "symplectic", "matrix": str(e / "x5p_gen.matrix"),
+                  "form": str(e / "x5p.form"), "expect": True},
+                 {"task": "reps-count", "abelian": "2", "expect": 2}):
+        assert _run_task(task)["status"] == "FAIL", task
+
+
+def test_an_input_the_job_does_not_take_is_an_error(exported, capsys):
+    out = _run_task({"task": "check-invariance", "group": str(exported / "x5.group"),
+                     "form": str(exported / "x5.form"), "expect": True})
+    assert out["status"] == "ERROR" and "expect" in out["result"]
+    assert _run_task({"task": "verify"})["status"] == "ERROR"
+    assert _run_task({"task": "nope"})["status"] == "ERROR"
+    # --witness-dir only means something with --filter
+    assert main(["reps", "--abelian", "2", "--witness-dir", str(exported)]) == 2
+    assert main(["example", "export", "X20"]) == 2
+    capsys.readouterr()
+
+
+def test_order_rejects_an_infinite_group(tmp_path, exported, capsys):
+    from cubicsym.cyclo import modular_embedding
+    from cubicsym.forms import CycMatrix
+    from cubicsym.groups import MatGroup
+
+    p = modular_embedding(1).p
+    shear = CycMatrix.from_rows([[1, p], [0, 1]])
+    for k, gens in enumerate(([shear], [CycMatrix.from_rows([[-1, 0], [0, 1]]), shear])):
+        path = tmp_path / f"infinite{k}.group"
+        path.write_text(MatGroup(gens).encode())
+        assert main(["order", "--group", str(path)]) == 2
+        assert main(["order", "--group", str(path), "--expect", "1"]) == 2
+        assert _run_task({"task": "order", "group": str(path)})["status"] == "ERROR"
+    assert capsys.readouterr().out == ""
+    assert main(["order", "--group", str(exported / "x20.group")]) == 0
+    assert capsys.readouterr().out.startswith("order 301 ")
+
+
+def test_example_verify_closure_follows_the_cap(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from cubicsym import cli, corpus
+
+    assert main(["example", "verify", "X20", "--cap", "300"]) == 0
+    assert "order: skip (expected order 301 recorded" in capsys.readouterr().out
+    x20 = corpus.record("X20")
+    # a group larger than its record fails the order check, however it is found
+    for cap in (300, 10_000):
+        monkeypatch.setattr(cli.corpus, "record", lambda rid: replace(x20, closure_order=300))
+        assert main(["example", "verify", "X20", "--cap", str(cap)]) == 1
+        assert "order: fail" in capsys.readouterr().out

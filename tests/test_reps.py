@@ -189,8 +189,8 @@ def test_support_rejections_replay_on_every_sub_support():
     # a subset of it
     rng = random.Random(53)
     rejected = [(v.witness, v.support) for v in filter_to_nd_reps(
-        enumerate_diagonal_reps(AbelianGroupSpec.from_factors([4]), 7, 3), 5, 3,
-        structured_limit=0, random_limit=0) if v.status == "rejected"]
+        enumerate_diagonal_reps(AbelianGroupSpec.from_factors([4]), 7, 3), 5, 3)
+        if v.status == "rejected"]
     # in 7 variables an L310 cover never adds to L38, so take an 8-variable
     # support made of every monomial a cover absorbs
     labels = (0, 0, 0, 0, 1, 1, 1, 2)
