@@ -28,13 +28,10 @@ from .invariants import covering_lift, invariant_forms, is_symplectic, symplecti
 from .reps import AbelianGroupSpec, classify, enumerate_diagonal_reps
 from .smooth import DEFAULT_BUDGET, is_smooth
 
-EXIT_OK = 0
-EXIT_MISMATCH = 1
+EXIT_CODES = {"PASS": 0, "FAIL": 1, "EXHAUSTED": 3}
 EXIT_INPUT = 2
-EXIT_EXHAUSTED = 3
-EXIT_CODES = {"PASS": EXIT_OK, "FAIL": EXIT_MISMATCH, "EXHAUSTED": EXIT_EXHAUSTED}
 
-# `example verify` runs closure on a record only up to this recorded closure order
+# the largest recorded closure order `example verify` computes by default
 VERIFY_CAP = 10_000
 
 
@@ -42,7 +39,7 @@ VERIFY_CAP = 10_000
 class Outcome:
     status: str  # PASS | FAIL | EXHAUSTED; an input error raises instead
     result: object  # the `result` of the task's `cubicsym run` line
-    lines: tuple = ()  # what the subcommand prints
+    lines: tuple  # what the subcommand prints
 
 
 def _against(got, expect) -> str:
