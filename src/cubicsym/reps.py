@@ -351,26 +351,38 @@ def _canonical_block(cols: list[np.ndarray], tables: np.ndarray) -> list[np.ndar
 def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int) -> tuple[np.ndarray, bool]:
     """Orderly generation of canonical column-multiset rows (indices into the
     dual-group element list); a candidate survives only when no transform gives
-    a strictly smaller sorted row.  Candidates are held as one array per column
-    and tested block by block."""
+    a strictly smaller sorted row.  Each level is extended one block of whole
+    parents at a time, at most _BLOCK candidates unless one parent has more.
+    The survivors go into one buffer row per column, sized for the level's
+    candidates, so the unwritten tail never becomes resident; the rows are a
+    transposed view of the last buffer."""
     order = spec.order
     if order > 60_000:
         raise ValueError("group too large for column enumeration")
     tables, complete = _combined_tables(spec, d)
     dtype = np.uint16 if order > 255 else np.uint8
     tables = tables.astype(dtype)
-    cols: list[np.ndarray] = []  # the prefixes, one array per column
+    rows = np.zeros((1, 0), dtype=dtype)
     for _ in range(m):
+        cols = list(rows.T)  # the parents, one contiguous array per column
         lasts = cols[-1].astype(np.int64) if cols else np.zeros(1, dtype=np.int64)
         if lasts.size == 0:
             break
-        reps = order - lasts
-        idx = np.repeat(np.arange(lasts.size), reps)
-        newcol = (np.arange(idx.size) - (np.cumsum(reps) - reps - lasts)[idx]).astype(dtype)
-        cand = [c[idx] for c in cols] + [newcol]
-        cols = [np.concatenate(part) for part in zip(*(
-            _canonical_block([c[b] for c in cand], tables) for b in _blocks(newcol.size)))]
-    rows = np.stack(cols, axis=1) if cols else np.zeros((1, 0), dtype=dtype)
+        # parent i has the children lasts[i] .. order-1, at positions
+        # bounds[i] .. bounds[i+1]-1: position j holds j + order - bounds[i+1]
+        bounds = np.concatenate(([0], np.cumsum(order - lasts)))
+        buf = np.empty((len(cols) + 1, int(bounds[-1])), dtype=dtype)
+        n = p = 0
+        while p < lasts.size:
+            q = max(p + 1, int(np.searchsorted(bounds, bounds[p] + _BLOCK, "right")) - 1)
+            idx = np.repeat(np.arange(p, q), order - lasts[p:q])
+            newcol = (np.arange(bounds[p], bounds[q]) + order - bounds[idx + 1]).astype(dtype)
+            keep = _canonical_block([c[idx] for c in cols] + [newcol], tables)
+            for row, c in zip(buf, keep):
+                row[n:n + c.size] = c
+            n += keep[0].size
+            p = q
+        rows = buf[:, :n].T
     return rows, complete
 
 
@@ -444,11 +456,12 @@ def enumerate_diagonal_reps(spec: AbelianGroupSpec, m: int, d: int) -> list[RepC
     classify(), which keeps the bulk of the work vectorized.
     """
     rows, complete = _canonical_rows(spec, m, d)
-    rows = rows[_valid_mask(rows, spec)]
-    if rows.shape[0] > ENUM_MATERIALIZE_CAP:
-        raise ValueError(
-            f"{rows.shape[0]} classes exceed the materialization cap; use classify()")
-    classes = _rows_to_classes(rows, spec, m, d)
+    valid = _valid_mask(rows, spec)
+    count = int(np.count_nonzero(valid))
+    if count > ENUM_MATERIALIZE_CAP:
+        raise ValueError(f"{count} classes exceed the materialization cap "
+                         f"{ENUM_MATERIALIZE_CAP}; count them with `reps --filter` (reps-count)")
+    classes = _rows_to_classes(rows[valid], spec, m, d)
     if not complete:
         # partial symmetry pruning: finish the deduplication exactly
         by_canonical: dict[tuple, RepClass] = {}
@@ -622,13 +635,15 @@ def classify(spec: AbelianGroupSpec, m: int, d: int) -> ClassificationReport:
     exact deduplication runs on the filter survivors only, so the bulk-rejected
     rows may still repeat a class: total_classes is then an upper bound and
     total_exact is False.  The verdicts, and so the accepted count, stay exact.
+
+    Both masks are row-wise, so they run over the canonical rows in place and
+    only the rows that pass both are copied.
     """
     _require_cubic(d)
     rows, complete = _canonical_rows(spec, m, d)
-    rows = rows[_valid_mask(rows, spec)]
-    total = int(rows.shape[0])
-    square_ok = _bulk_square_mask(rows, spec)
-    survivors = rows[square_ok]
+    valid = _valid_mask(rows, spec)
+    total = int(np.count_nonzero(valid))
+    survivors = rows[valid & _bulk_square_mask(rows, spec)]
     bulk_rejected = total - int(survivors.shape[0])
     classes = _rows_to_classes(survivors, spec, m, d)
     if not complete:

@@ -36,6 +36,9 @@ def test_traced_run_prints_one_passing_json_object(tmp_path):
     assert out["layers"].get("reps", 0) > 0
     assert out["layers"].get("invariants", 0) > 0
     assert out["metrics"]["reps.enum_rows"]["value"] > 0
+    # the whole last level passes through _canonical_rows: 292 canonical rows
+    # for C7 and 31 for C2xC2
+    assert out["metrics"]["reps.enum_rows"]["value"] == 323
     # the closure hook reads MatGroup.order: X20 has 301 elements and X8' 32
     assert out["layers"].get("groups", 0) > 0
     assert out["metrics"]["groups.closure_elements"]["value"] == 333

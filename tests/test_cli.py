@@ -83,6 +83,20 @@ def test_reps_labels_a_bounded_total(monkeypatch, capsys):
     assert out["result"] == {"classes_at_most": 25, "accepted": 4, "undecided": 0}
 
 
+def test_reps_past_the_materialization_cap_points_to_filter(monkeypatch, capsys):
+    # C7 has 290 classes in 7 variables; the cap is checked on the count of
+    # valid rows, before any class is built
+    monkeypatch.setattr(reps, "ENUM_MATERIALIZE_CAP", 10)
+
+    def build(*args):
+        raise AssertionError("classes built past the cap")
+    monkeypatch.setattr(reps, "_rows_to_classes", build)
+    assert main(["reps", "--abelian", "7", "--vars", "7", "--degree", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "290 classes" in out.err and "--filter" in out.err
+
+
 def test_reps_filter_rejects_non_cubic_degree(tmp_path):
     r = run_cli(["reps", "--abelian", "5", "--vars", "7", "--degree", "4", "--filter"])
     assert r.returncode == 2

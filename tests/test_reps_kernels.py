@@ -2,6 +2,7 @@
 kernels they replaced: sort each gathered (N, m) block with np.sort, pack
 every row into uint64 keys, and evaluate the masks with int64 weights."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from cubicsym import reps
 from cubicsym.reps import (AbelianGroupSpec, _bulk_square_mask, _canonical_rows,
-                           _combined_tables, _sort_columns, _valid_mask)
+                           _combined_tables, _rows_to_classes, _sort_columns, _valid_mask,
+                           classify)
 
 GROUPS = [[2], [3], [4], [6], [7], [8], [12], [2, 2], [2, 4], [3, 3], [2, 2, 2]]
 
@@ -139,6 +141,33 @@ def test_block_boundaries_do_not_change_the_rows(factors, monkeypatch):
     _assert_same_array(_bulk_square_mask(rows[valid], spec), square)
 
 
+@pytest.mark.parametrize("factors", [[6], [2, 4]])
+def test_block_boundaries_do_not_change_the_classification(factors, monkeypatch):
+    # classify masks the canonical rows in place; the reference copies the
+    # valid rows first, then takes the square mask on them
+    spec = AbelianGroupSpec.from_factors(factors)
+    rows, _ = _reference_rows(spec, 7, 3)
+    valid = rows[_valid_mask(rows, spec)]
+    survivors = valid[_bulk_square_mask(valid, spec)]
+    monkeypatch.setattr(reps, "_BLOCK", 5)
+    report = classify(spec, 7, 3)
+    assert report.total_exact
+    assert report.total_classes == valid.shape[0]
+    assert report.bulk_rejected == valid.shape[0] - survivors.shape[0]
+    assert [v.rep for v in report.verdicts] == _rows_to_classes(survivors, spec, 7, 3)
+
+
+@pytest.mark.parametrize("factors, levels", [([6], (0, 1)), ([2, 2], (0, 1)),
+                                             ([257], (0, 1, 3))],
+                         ids=["C6", "C2xC2", "C257"])
+def test_five_row_blocks_keep_values_dtype_and_shape(factors, levels, monkeypatch):
+    # C257 takes two bytes per element, and one parent has up to 257 children
+    spec = AbelianGroupSpec.from_factors(factors)
+    monkeypatch.setattr(reps, "_BLOCK", 5)
+    for m in levels:
+        _assert_same_array(_canonical_rows(spec, m, 3)[0], _reference_rows(spec, m, 3)[0])
+
+
 def test_column_kernels_on_two_byte_elements():
     spec = AbelianGroupSpec.from_factors([257])
     rows, _ = _canonical_rows(spec, 3, 3)
@@ -148,6 +177,30 @@ def test_column_kernels_on_two_byte_elements():
     _assert_same_array(_valid_mask(rows, spec), _reference_valid_mask(rows, spec))
     _assert_same_array(_bulk_square_mask(rows, spec),
                        _reference_bulk_square_mask(rows, spec))
+
+
+def test_enumeration_never_holds_a_whole_level(monkeypatch):
+    # C9xC5 in 7 variables: 2,350,279 candidates at the last level and
+    # 1,622,540 canonical rows (11.4 MB as uint8). The bound leaves room for
+    # the rows, their parents and one block, not for a whole level of
+    # candidates as index arrays or a copy of the valid rows.
+    spec = AbelianGroupSpec.from_factors([9, 5])
+    peaks = {}
+    enumerate_rows = reps._canonical_rows
+
+    def traced(*args):
+        out = enumerate_rows(*args)
+        peaks["_canonical_rows"] = tracemalloc.get_traced_memory()[1]
+        return out
+    monkeypatch.setattr(reps, "_canonical_rows", traced)
+    tracemalloc.start()
+    try:
+        report = classify(spec, 7, 3)
+        peaks["classify"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.total_classes, report.bulk_rejected) == (1_606_956, 1_606_955)
+    assert max(peaks.values()) < 40e6, peaks
 
 
 @pytest.mark.parametrize("m", range(1, 9))
