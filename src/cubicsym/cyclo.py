@@ -319,8 +319,7 @@ class CycNum:
         if m % n != 0:
             raise ValueError(f"cannot embed conductor {n} into {m}")
         step = m // n
-        raw = {i * step: Fraction(c, self.den) for i, c in enumerate(self.num) if c}
-        return reduce(raw, m)
+        return reduce({i * step: c for i, c in enumerate(self.num) if c}, m, self.den)
 
     def encode(self) -> str:
         """Textual form `N d c0 c1 ... c_{phi(N)-1}` meaning (sum c_i zeta^i)/d."""
@@ -363,18 +362,17 @@ class CycNum:
         return f"Cyc([{' '.join(map(str, self.num))}]/{self.den}, N={self.conductor})"
 
 
-def reduce(raw: Mapping[int, object], n: int) -> CycNum:
-    """Canonical CycNum equal to sum_k raw[k] * zeta_N^k (exponents arbitrary)."""
+def reduce(raw: Mapping[int, int | Fraction], n: int, den: int = 1) -> CycNum:
+    """Canonical CycNum equal to (sum_k raw[k] * zeta_N^k) / den (exponents
+    arbitrary).  The sum runs over integers, on the lcm of the coefficients'
+    denominators."""
     if n < 1:
         raise ValueError("conductor must be >= 1")
     ctx = context(n)
-    acc = [Fraction(0)] * n
+    common = lcm(1, *(c.denominator for c in raw.values()))
+    vec = [0] * n
     for k, coeff in raw.items():
-        acc[k % n] += Fraction(coeff)
-    den = 1
-    for f in acc:
-        den = den * f.denominator // gcd(den, f.denominator)
-    vec = [int(f * den) for f in acc]
+        vec[k % n] += coeff.numerator * (common // coeff.denominator)
     phi = ctx.phi
     if phi < n:
         table = ctx.table
@@ -385,7 +383,7 @@ def reduce(raw: Mapping[int, object], n: int) -> CycNum:
                 for j in range(phi):
                     if row[j]:
                         vec[j] += c * row[j]
-    return CycNum._make(n, vec[:phi], den)
+    return CycNum._make(n, vec[:phi], common * den)
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

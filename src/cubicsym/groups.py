@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .cyclo import CycNum, common_conductor, modular_embedding
 from .diffrank import eigen_partition_witness, eigenvalue_multiset
 from .forms import CycMatrix
@@ -101,6 +99,7 @@ class MatGroup:
 def _modular_images(gens: Sequence[CycMatrix], n: int) -> tuple[np.ndarray, int]:
     """Images of the generators mod the largest prime p = 1 (mod n) below
     2^31 that divides none of their denominators, as an int64 (k, m, m) array."""
+    import numpy as np
     emb = modular_embedding(n)
     while True:
         images = [[emb(c) for row in g.rows for c in row] for g in gens]
@@ -113,6 +112,7 @@ def _modular_images(gens: Sequence[CycMatrix], n: int) -> tuple[np.ndarray, int]
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for a stack a of shape (k, m, m); entries stay below p < 2^31,
     so each partial sum stays below p + p^2 < 2^63."""
+    import numpy as np
     out = np.zeros_like(a)
     for j in range(b.shape[0]):
         out += a[:, :, j, None] * b[j]
@@ -129,6 +129,7 @@ def closure(gens: Sequence[CycMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
     finite: an infinite one is cut down to its image mod p, as
     [[1, p], [0, 1]], which closes to the identity alone.
     """
+    import numpy as np
     group = MatGroup(gens)
     for g in group.generators:
         if g.det().is_zero():

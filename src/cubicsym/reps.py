@@ -17,8 +17,6 @@ from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .cyclo import CycNum, zeta
 from .forms import CycMatrix, Form, monomials
 from .smooth import (NonSmoothWitness, _support_non_smooth,
@@ -152,6 +150,7 @@ def _min_columns(elements: list[tuple[int, ...]], m: int) -> tuple:
     permutations.  Column-prefix profiles do not bound the row-major objective,
     so the minimization is exhaustive; m <= 8 keeps it cheap.  Duplicate columns
     are collapsed first."""
+    import numpy as np
     if m > 8:
         raise ValueError("canonical column minimization limited to 8 columns")
     arr = np.array(elements, dtype=np.int64)
@@ -198,6 +197,7 @@ def canonicalize(rep: RepClass) -> tuple:
 def _dual_automorphism_tables(spec: AbelianGroupSpec) -> tuple[list[np.ndarray], bool]:
     """Index tables of automorphisms of the dual group (= Aut(G)); the flag says
     whether the whole automorphism group was enumerated."""
+    import numpy as np
     factors = spec.factors
     k = len(factors)
     elems = spec.elements()
@@ -281,6 +281,7 @@ def _twist_shifts(spec: AbelianGroupSpec, d: int) -> list[tuple[int, ...]]:
 
 
 def _combined_tables(spec: AbelianGroupSpec, d: int) -> tuple[np.ndarray, bool]:
+    import numpy as np
     elems = spec.elements()
     index = {e: i for i, e in enumerate(elems)}
     factors = spec.factors
@@ -316,6 +317,7 @@ def _sort_columns(cols: list[np.ndarray]) -> None:
     """Sort the rows held column-wise in cols, in place, with the odd-even
     transposition network: m rounds of compare-exchanges on adjacent
     positions, starting alternately at 0 and 1."""
+    import numpy as np
     m = len(cols)
     for r in range(m):
         for i in range(r % 2, m - 1, 2):
@@ -327,6 +329,7 @@ def _sort_columns(cols: list[np.ndarray]) -> None:
 def _canonical_block(cols: list[np.ndarray], tables: np.ndarray) -> list[np.ndarray]:
     """The candidates (sorted rows held column-wise) whose sorted image under
     no table is lexicographically smaller."""
+    import numpy as np
     index = [c.astype(np.intp) for c in cols]  # numpy gathers fastest by intp
     alive = np.ones(cols[0].size, dtype=bool)
     for t in tables:
@@ -356,6 +359,7 @@ def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int) -> tuple[np.ndarray,
     The survivors go into one buffer row per column, sized for the level's
     candidates, so the unwritten tail never becomes resident; the rows are a
     transposed view of the last buffer."""
+    import numpy as np
     order = spec.order
     if order > 60_000:
         raise ValueError("group too large for column enumeration")
@@ -391,6 +395,7 @@ def _character_tables(spec: AbelianGroupSpec) -> list[np.ndarray]:
     col -> chi_col(g) as an integer in Z/L (L the exponent); scalar image
     means all chosen columns agree.  The g with scalar image form a subgroup,
     and a nontrivial subgroup has a subgroup of prime order."""
+    import numpy as np
     elems = spec.elements()
     factors = spec.factors
     L = spec.exponent
@@ -411,6 +416,7 @@ def _character_tables(spec: AbelianGroupSpec) -> list[np.ndarray]:
 
 def _row_mask(rows: np.ndarray, fn) -> np.ndarray:
     """Apply fn block by block to rows given as an (m, block) intp array."""
+    import numpy as np
     out = np.ones(rows.shape[0], dtype=bool)
     for b in _blocks(rows.shape[0]):
         out[b] = fn(rows[b].T.astype(np.intp))
@@ -420,6 +426,7 @@ def _row_mask(rows: np.ndarray, fn) -> np.ndarray:
 def _valid_mask(rows: np.ndarray, spec: AbelianGroupSpec) -> np.ndarray:
     """Faithfulness plus injective projective image: no nonzero group element
     has all column characters equal."""
+    import numpy as np
     chars = _character_tables(spec)
 
     def block(cols):
@@ -455,6 +462,7 @@ def enumerate_diagonal_reps(spec: AbelianGroupSpec, m: int, d: int) -> list[RepC
     Groups whose class count exceeds the materialization cap should go through
     classify(), which keeps the bulk of the work vectorized.
     """
+    import numpy as np
     rows, complete = _canonical_rows(spec, m, d)
     valid = _valid_mask(rows, spec)
     count = int(np.count_nonzero(valid))
@@ -609,6 +617,7 @@ def _bulk_square_mask(rows: np.ndarray, spec: AbelianGroupSpec) -> np.ndarray:
     """True where the invariant support contains, for every position i, some
     monomial x_i^2 x_j; the complement is exactly the support-level witness
     of kind L38-i."""
+    import numpy as np
     index = {e: i for i, e in enumerate(spec.elements())}
     # x_i^2 x_j is invariant exactly when column j is -2 times column i
     minus_twice = np.array([index[tuple(-2 * a % f for a, f in zip(e, spec.factors))]
@@ -639,6 +648,7 @@ def classify(spec: AbelianGroupSpec, m: int, d: int) -> ClassificationReport:
     Both masks are row-wise, so they run over the canonical rows in place and
     only the rows that pass both are copied.
     """
+    import numpy as np
     _require_cubic(d)
     rows, complete = _canonical_rows(spec, m, d)
     valid = _valid_mask(rows, spec)

@@ -266,3 +266,21 @@ def test_example_verify_closure_follows_the_cap(monkeypatch, capsys):
         monkeypatch.setattr(cli.corpus, "record", lambda rid: replace(x20, closure_order=300))
         assert main(["example", "verify", "X20", "--cap", str(cap)]) == 1
         assert "order: fail" in capsys.readouterr().out
+
+
+def test_numpy_loads_only_for_the_jobs_that_use_it():
+    # the corpus and every job but the closure and the enumerator run
+    # without numpy, so a cold start does not pay for its import
+    code = """
+import sys
+from cubicsym import cli, corpus
+records = [corpus.record(rid) for rid in corpus.all_ids()]
+assert len(records) == 35, len(records)
+assert "numpy" not in sys.modules
+out = cli._run_task({"task": "reps-count", "abelian": "7", "expect": 1})
+assert out["status"] == "PASS", out
+assert "numpy" in sys.modules
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicsym.cyclo import (MODULAR_PRIME_BOUND, CycNum, common_conductor,
+from cubicsym.cyclo import (MODULAR_PRIME_BOUND, CycNum, common_conductor, context,
                             cyclotomic_polynomial, modular_embedding,
                             multiplicative_order, reduce, zeta)
 
@@ -28,6 +29,67 @@ def test_reduce_examples():
 def test_reduce_rejects_zero_conductor():
     with pytest.raises(ValueError):
         reduce({0: 1}, 0)
+
+
+def reduce_oracle(raw, n):
+    """The Fraction summation `reduce` used before it summed integers."""
+    ctx = context(n)
+    acc = [Fraction(0)] * n
+    for k, coeff in raw.items():
+        acc[k % n] += Fraction(coeff)
+    den = 1
+    for f in acc:
+        den = den * f.denominator // gcd(den, f.denominator)
+    vec = [int(f * den) for f in acc]
+    phi = ctx.phi
+    for k in range(phi, n):
+        if vec[k]:
+            for j, r in enumerate(ctx.table[k - phi]):
+                vec[j] += vec[k] * r
+    return CycNum._make(n, vec[:phi], den)
+
+
+REDUCE_CONDUCTORS = CONDUCTORS + (1, 2, 45, 48, 60, 63)
+
+
+def rand_raw(rng, n):
+    """Int and Fraction coefficients at exponents in [-2n, 3n), plus terms
+    that cancel: one coefficient split over exponents equal mod n, and for
+    n > 1 a multiple of the sum of all n-th roots of unity, which is 0."""
+    raw = {}
+    for _ in range(rng.randint(0, 8)):
+        c = rng.randint(-9, 9)
+        if rng.random() < 0.5:
+            c = Fraction(c, rng.randint(1, 12))
+        raw[rng.randrange(-2 * n, 3 * n)] = c
+    if rng.random() < 0.5:
+        k, q = rng.randrange(-n, n), Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        raw[k] = raw.get(k, 0) + q
+        raw[k + 2 * n] = raw.get(k + 2 * n, 0) - q
+    if n > 1 and rng.random() < 0.3:
+        c, shift = rng.choice((1, -2, Fraction(1, 3))), rng.randrange(-1, 2) * n
+        for k in range(shift, shift + n):
+            raw[k] = raw.get(k, 0) + c
+    return raw
+
+
+def test_integer_reduce_and_embed_match_the_fraction_oracle():
+    rng = random.Random(19)
+    for n in REDUCE_CONDUCTORS:
+        for _ in range(200):
+            raw = rand_raw(rng, n)
+            got, want = reduce(raw, n), reduce_oracle(raw, n)
+            assert (got.num, got.den) == (want.num, want.den), (n, raw)
+        zero = {k: Fraction(1, 3) for k in range(-n, 0)} if n > 1 else {0: 1, -1: -1}
+        assert reduce(zero, n) == reduce_oracle(zero, n) == CycNum.zero(n)
+        multiples = {n, 2 * n, 3 * n} | {m for m in REDUCE_CONDUCTORS if m % n == 0}
+        for m in sorted(multiples):
+            step = m // n
+            for _ in range(20):
+                a = rand_cyc(rng, n)
+                want = reduce_oracle({i * step: Fraction(c, a.den) for i, c in enumerate(a.num)}, m)
+                got = a.embed(m)
+                assert (got.num, got.den) == (want.num, want.den), (a, m)
 
 
 def test_mul_and_inverse_examples():
