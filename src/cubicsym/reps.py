@@ -191,6 +191,14 @@ def canonicalize(rep: RepClass) -> tuple:
     return (L, rep.m, _min_columns(elements, rep.m))
 
 
+def _first_per_class(classes: Iterable[RepClass]) -> list[RepClass]:
+    """The first class of each canonical encoding, in the order given."""
+    by_canonical: dict[tuple, RepClass] = {}
+    for rc in classes:
+        by_canonical.setdefault(canonicalize(rc), rc)
+    return list(by_canonical.values())
+
+
 # -- enumeration -------------------------------------------------------------
 
 
@@ -470,15 +478,8 @@ def enumerate_diagonal_reps(spec: AbelianGroupSpec, m: int, d: int) -> list[RepC
         raise ValueError(f"{count} classes exceed the materialization cap "
                          f"{ENUM_MATERIALIZE_CAP}; count them with `reps --filter` (reps-count)")
     classes = _rows_to_classes(rows[valid], spec, m, d)
-    if not complete:
-        # partial symmetry pruning: finish the deduplication exactly
-        by_canonical: dict[tuple, RepClass] = {}
-        for rc in classes:
-            key = canonicalize(rc)
-            if key not in by_canonical:
-                by_canonical[key] = rc
-        classes = list(by_canonical.values())
-    return classes
+    # partial symmetry pruning: finish the deduplication exactly
+    return classes if complete else _first_per_class(classes)
 
 
 # -- the (n,d) filter ---------------------------------------------------------
@@ -534,10 +535,6 @@ def filter_to_nd_reps(classes: Sequence[RepClass], n: int, d: int) -> list[RepVe
             raise ValueError("representation dimension must equal n + 2")
         support = rc.invariant_support()
         rng = random.Random(hash((rc.exp_matrix, n, d)) & 0xFFFFFFFF)
-        if not support:
-            out.append(RepVerdict(rc, "rejected", None,
-                                  NonSmoothWitness("L38-i", (0,)), support))
-            continue
         w = _support_non_smooth(support, m)
         if w is not None:
             out.append(RepVerdict(rc, "rejected", None, w, support))
@@ -657,13 +654,8 @@ def classify(spec: AbelianGroupSpec, m: int, d: int) -> ClassificationReport:
     bulk_rejected = total - int(survivors.shape[0])
     classes = _rows_to_classes(survivors, spec, m, d)
     if not complete:
-        by_canonical: dict[tuple, RepClass] = {}
-        for rc in classes:
-            key = canonicalize(rc)
-            if key not in by_canonical:
-                by_canonical[key] = rc
-        dropped = len(classes) - len(by_canonical)
-        classes = list(by_canonical.values())
-        total -= dropped
+        deduped = _first_per_class(classes)
+        total -= len(classes) - len(deduped)
+        classes = deduped
     verdicts = filter_to_nd_reps(classes, m - 2, d)
     return ClassificationReport(spec, m, d, total, bulk_rejected, tuple(verdicts), complete)

@@ -24,11 +24,13 @@ witness and exhausted answer comes from the exact computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import chain, combinations, combinations_with_replacement, islice
+from operator import or_
 from typing import Iterable, Sequence
 
 from .cyclo import modular_embedding
-from .forms import Form, partial
+from .forms import Form, monomials, partial
 from .groebner import BudgetExhausted, buchberger, pure_power_certificate, pure_power_coverage
 
 DEFAULT_BUDGET = 1_000_000
@@ -55,35 +57,40 @@ class SmoothResult:
         return self.status == "smooth"
 
 
+@lru_cache(maxsize=None)
+def _l38_table(m: int) -> tuple[dict[tuple[int, ...], int], dict[NonSmoothWitness, int]]:
+    """Each cubic monomial's bit, and each L38 condition in scan order with the mask of
+    the monomials outside its ideal (x_A) + (x_B)^2, which a support meets iff it misses
+    the mask: (i) at i: A empty, B all variables but i; (ii) |A| = 3, B empty;
+    (iii) |A| = |B| = 2; (iv) |A| = 1, |B| = 4."""
+    bit = {e: 1 << k for k, e in enumerate(monomials(m, 3))}
+    # the monomials each generator divides: x_v, keyed (v,), for v in A, and x_v x_w,
+    # keyed (v, w), for v <= w in B
+    div = {g: sum(x for e, x in bit.items() if all(e[v] >= g.count(v) for v in g))
+           for n in (1, 2) for g in combinations_with_replacement(range(m), n)}
+    shapes = [("L38-i", (i,), (), tuple(v for v in range(m) if v != i)) for i in range(m)]
+    shapes += [("L38-ii", trio, trio, ()) for trio in combinations(range(m), 3)]
+    shapes += [("L38-iii", pq + rs, pq, rs) for pq in combinations(range(m), 2)
+               for rs in combinations(range(m), 2) if not set(pq) & set(rs)]
+    shapes += [("L38-iv", (p,) + quad, (p,), quad) for p in range(m)
+               for quad in combinations(range(m), 4) if p not in quad]
+    return bit, {NonSmoothWitness(kind, data): ((1 << len(bit)) - 1) & ~reduce(or_, [
+        div[g] for g in chain(combinations(a, 1), combinations_with_replacement(b, 2))], 0)
+        for kind, data, a, b in shapes}
+
+
 def _support_non_smooth(support: Iterable[tuple[int, ...]], m: int) -> NonSmoothWitness | None:
-    """The four cubic conditions, checked on a monomial support set.
+    """The first of the four cubic conditions that a monomial support meets.
 
     Condition (i) (a coordinate point where all partials vanish) is sound for
     every m.  Conditions (ii)-(iv) force a singular point by intersecting 3, 2,
     or 1 quadrics on a linear subspace of dimension m-4, m-5, m-6, so they are
     sound only for m >= 7: at m = 6 there are smooth cubics inside an ideal of
-    three variables.
-    """
-    supp = list(support)
-    for i in range(m):
-        if not any(e[i] >= 2 for e in supp):
-            return NonSmoothWitness("L38-i", (i,))
-    if m < 7:
-        return None
-    for trio in combinations(range(m), 3):
-        if all(any(e[v] for v in trio) for e in supp):
-            return NonSmoothWitness("L38-ii", trio)
-    for pq in combinations(range(m), 2):
-        rest = [v for v in range(m) if v not in pq]
-        for rs in combinations(rest, 2):
-            if all(e[pq[0]] + e[pq[1]] >= 1 or e[rs[0]] + e[rs[1]] >= 2 for e in supp):
-                return NonSmoothWitness("L38-iii", pq + rs)
-    for p in range(m):
-        rest = [v for v in range(m) if v != p]
-        for quad in combinations(rest, 4):
-            if all(e[p] >= 1 or sum(e[v] for v in quad) >= 2 for e in supp):
-                return NonSmoothWitness("L38-iv", (p,) + quad)
-    return None
+    three variables, so below m = 7 the scan reads only the m entries of (i)."""
+    bit, table = _l38_table(m)
+    bits = reduce(or_, map(bit.__getitem__, support), 0)
+    entries = table.items() if m >= 7 else islice(table.items(), m)
+    return next((w for w, mask in entries if not bits & mask), None)
 
 
 def combinatorial_non_smooth(f: Form) -> NonSmoothWitness | None:
@@ -160,23 +167,16 @@ def find_partition_cover(support: Iterable[tuple[int, ...]], m: int):
 
 def replay(witness: NonSmoothWitness, f: Form) -> bool:
     """Check that the witness still triggers against F."""
-    supp = list(f.terms.keys())
-    m = f.nvars
-    k, d = witness.kind, witness.data
-    if k == "L38-i":
-        return not any(e[d[0]] >= 2 for e in supp)
-    if k == "L38-ii":
-        return all(any(e[v] for v in d) for e in supp)
-    if k == "L38-iii":
-        return all(e[d[0]] + e[d[1]] >= 1 or e[d[2]] + e[d[3]] >= 2 for e in supp)
-    if k == "L38-iv":
-        return all(e[d[0]] >= 1 or sum(e[v] for v in d[1:]) >= 2 for e in supp)
-    if k == "L310":
-        v1, v2, v3 = d
-        return partition_non_smooth(f, v1, v2, v3)
-    if k == "JacobianZero":
+    if witness.kind.startswith("L38-"):
+        bit, table = _l38_table(f.nvars)
+        if witness not in table:
+            raise ValueError(f"unknown witness {witness}")
+        return not any(bit[e] & table[witness] for e in f.terms)
+    if witness.kind == "L310":
+        return partition_non_smooth(f, *witness.data)
+    if witness.kind == "JacobianZero":
         return is_smooth(f).status == "singular"
-    raise ValueError(f"unknown witness kind {k}")
+    raise ValueError(f"unknown witness kind {witness.kind}")
 
 
 def jacobian_generators(f: Form) -> list[dict]:

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -9,7 +12,7 @@ from cubicsym.cyclo import CycNum, modular_embedding, zeta
 from cubicsym.forms import Form, apply, evaluate, monomials
 from cubicsym.groebner import buchberger, pure_power_coverage
 from cubicsym.reps import AbelianGroupSpec, enumerate_diagonal_reps
-from cubicsym.smooth import (NonSmoothWitness, SmoothResult, _cover_ok,
+from cubicsym.smooth import (NonSmoothWitness, SmoothResult, _cover_ok, _l38_table,
                              _smooth_mod_p, _support_non_smooth,
                              combinatorial_non_smooth, find_partition_cover,
                              is_smooth, jacobian_generators,
@@ -85,6 +88,99 @@ def test_partition_cover_backtracking_matches_the_scan():
     assert found > 0
     assert find_partition_cover([], 3) == ((0, 1, 2), (), ())
     assert find_partition_cover([], 0) is None
+
+
+def _oracle_scan(support, m):
+    # reference: the L38 scan written out condition by condition
+    supp = list(support)
+    for i in range(m):
+        if not any(e[i] >= 2 for e in supp):
+            return NonSmoothWitness("L38-i", (i,))
+    if m < 7:
+        return None
+    for trio in combinations(range(m), 3):
+        if all(any(e[v] for v in trio) for e in supp):
+            return NonSmoothWitness("L38-ii", trio)
+    for pq in combinations(range(m), 2):
+        rest = [v for v in range(m) if v not in pq]
+        for rs in combinations(rest, 2):
+            if all(e[pq[0]] + e[pq[1]] >= 1 or e[rs[0]] + e[rs[1]] >= 2 for e in supp):
+                return NonSmoothWitness("L38-iii", pq + rs)
+    for p in range(m):
+        rest = [v for v in range(m) if v != p]
+        for quad in combinations(rest, 4):
+            if all(e[p] >= 1 or sum(e[v] for v in quad) >= 2 for e in supp):
+                return NonSmoothWitness("L38-iv", (p,) + quad)
+    return None
+
+
+def _oracle_meets(witness, supp):
+    # reference: each L38 condition as a predicate on the exponent vectors
+    k, d = witness.kind, witness.data
+    if k == "L38-i":
+        return not any(e[d[0]] >= 2 for e in supp)
+    if k == "L38-ii":
+        return all(any(e[v] for v in d) for e in supp)
+    if k == "L38-iii":
+        return all(e[d[0]] + e[d[1]] >= 1 or e[d[2]] + e[d[3]] >= 2 for e in supp)
+    assert k == "L38-iv"
+    return all(e[d[0]] >= 1 or sum(e[v] for v in d[1:]) >= 2 for e in supp)
+
+
+@cache
+def _absorbed_sets(m):
+    """For each labeling with |V1| > |V2|, the monomials its L310 cover absorbs."""
+    monos = monomials(m, 3)
+    return [[e for e in monos if _cover_ok(e, labels)]
+            for labels in product((0, 1, 2), repeat=m) if labels.count(0) > labels.count(1)]
+
+
+def test_l38_table_scan_matches_the_written_out_conditions():
+    absorbed = _absorbed_sets(7)
+    assert len(absorbed) == 897
+    kinds = Counter(_oracle_scan(s, 7).kind for s in absorbed)
+    assert kinds == {"L38-i": 127, "L38-ii": 315, "L38-iii": 350, "L38-iv": 105}
+    rng = random.Random(38)
+    cases = [(s, 7) for s in absorbed]
+    cases += [([e for e in s if rng.random() < 0.5], 7) for s in absorbed]
+    cases += [([], m) for m in range(4, 9)]
+    for m in range(4, 10):
+        monos = monomials(m, 3)
+        cases += [(rng.sample(monos, rng.randrange(1, 3 * m)), m) for _ in range(40)]
+    for support, m in cases:
+        assert _support_non_smooth(support, m) == _oracle_scan(support, m), (support, m)
+    assert _support_non_smooth([], 5) == NonSmoothWitness("L38-i", (0,))
+
+
+def test_replay_reads_the_table_entry_of_each_l38_witness():
+    rng = random.Random(83)
+    one = CycNum.one(1)
+    for m in (4, 6, 7, 8):
+        monos = monomials(m, 3)
+        entries = _l38_table(m)[1]
+        # every kind at every m, though the scan reads only (i) below m = 7
+        assert Counter(w.kind for w in entries) == Counter({
+            "L38-i": m, "L38-ii": comb(m, 3), "L38-iii": comb(m, 2) * comb(m - 2, 2),
+            "L38-iv": m * comb(m - 1, 4)})
+        for w in entries:
+            inside = [e for e in monos if _oracle_meets(w, [e])]
+            outside = [e for e in monos if e not in inside]
+            supports = [inside, rng.sample(monos, rng.randrange(1, 2 * m))]
+            if outside:
+                supports.append(inside + [rng.choice(outside)])
+            for supp in supports:
+                f = Form(m, 3, 1, {e: one for e in supp})
+                assert replay(w, f) == _oracle_meets(w, supp), (w, supp)
+    with pytest.raises(ValueError):
+        replay(NonSmoothWitness("L38-ii", (2, 1, 0)), fermat(7))
+
+
+def test_no_partition_cover_escapes_the_l38_scan_at_seven_variables():
+    # L38 conditions pass from a set to its subsets, so a 7-variable support
+    # that some L310 cover absorbs never reaches the cover search
+    assert all(_support_non_smooth(s, 7) is not None for s in _absorbed_sets(7))
+    # at 8 variables the cover search rejects supports that the scan lets through
+    assert sum(_support_non_smooth(s, 8) is None for s in _absorbed_sets(8)) == 1008
 
 
 def test_ideal_membership_conditions():
