@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from math import gcd
-
 from .cyclo import CycNum, zeta
 from .forms import CycMatrix, Form, hat
 
@@ -64,12 +62,8 @@ def _hesse(a: int, b: int, c: int) -> list:
     return [(1, (a, a, a)), (1, (b, b, b)), (1, (c, c, c)), (LAMBDA_STAR, (a, b, c))]
 
 
-def _diag(m: int, entries: dict[int, CycNum], conductor: int = 1) -> CycMatrix:
-    vals = [entries.get(i, CycNum.one(1)) for i in range(m)]
-    n = conductor
-    for v in vals:
-        n = n * v.conductor // gcd(n, v.conductor)
-    return CycMatrix.diagonal([v.embed(n) for v in vals])
+def _diag(m: int, entries: dict[int, CycNum]) -> CycMatrix:
+    return CycMatrix.diagonal([entries.get(i, CycNum.one(1)) for i in range(m)])
 
 
 def _chain_diag(m: int, vars_: list[int], root: int) -> CycMatrix:

@@ -57,17 +57,18 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class CycContext:
-    """Reduction data for one conductor: Phi_N and the table of zeta^i mod Phi_N."""
+    """Reduction data for one conductor: phi(N) and the table of zeta^i mod
+    Phi_N for phi(N) <= i < N."""
 
-    __slots__ = ("conductor", "phi", "cyclo", "table")
+    __slots__ = ("conductor", "phi", "table")
 
     def __init__(self, n: int):
         self.conductor = n
-        self.cyclo = cyclotomic_polynomial(n)
-        self.phi = len(self.cyclo) - 1
+        cyclo = cyclotomic_polynomial(n)
+        self.phi = len(cyclo) - 1
         rows: list[tuple[int, ...]] = []
         if self.phi < n:
-            base = tuple(-c for c in self.cyclo[: self.phi])
+            base = tuple(-c for c in cyclo[: self.phi])
             rows.append(base)
             for _ in range(self.phi + 1, n):
                 prev = rows[-1]
@@ -87,45 +88,24 @@ def context(n: int) -> CycContext:
     return CycContext(n)
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _fold(vec: list[int], ctx: CycContext) -> list[int]:
+    """The power-basis coefficients of sum vec[k] zeta^k over k < N: the
+    exponents phi..N-1 fold through ctx.table (vec is changed in place)."""
+    phi = ctx.phi
+    table = ctx.table
+    for k in range(phi, ctx.conductor):
+        c = vec[k]
+        if c:
+            row = table[k - phi]
+            for j in range(phi):
+                if row[j]:
+                    vec[j] += c * row[j]
+    return vec[:phi]
 
 
-def _polydivmod(a: list[Fraction], b: list[Fraction]):
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and r:
-        shift = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[shift] = c
-        for j, bc in enumerate(b):
-            r[shift + j] -= c * bc
-        _trim(r)
-    return q, r
-
-
-def _polymulsub(s0: list[Fraction], q: list[Fraction], s1: list[Fraction]):
-    # s0 - q*s1
-    out = list(s0) + [Fraction(0)] * max(len(q) + len(s1) - 1 - len(s0), 0)
-    for i, qc in enumerate(q):
-        if qc:
-            for j, sc in enumerate(s1):
-                if sc:
-                    out[i + j] -= qc * sc
-    return _trim(out)
-
-
-def _xgcd_poly(a: list[Fraction], b: list[Fraction]):
-    # returns (g, s) with s*a = g mod b; g is a nonzero constant when gcd(a, b) = 1
-    r0, r1 = _trim(list(a)), _trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _polydivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _polymulsub(s0, q, s1)
-    return r0, s0
+def _conjugate(x: "CycNum", k: int) -> "CycNum":
+    """sigma_k(x), the Galois conjugate under zeta -> zeta^k (gcd(k, N) = 1)."""
+    return reduce({i * k: c for i, c in enumerate(x.num) if c}, x.conductor, x.den)
 
 
 class CycNum:
@@ -246,8 +226,6 @@ class CycNum:
         if b is NotImplemented:
             return NotImplemented
         n = self.conductor
-        ctx = context(n)
-        phi = ctx.phi
         out = [0] * n
         bnum = b.num
         for i, x in enumerate(self.num):
@@ -258,16 +236,7 @@ class CycNum:
                         if k >= n:
                             k -= n
                         out[k] += x * y
-        if phi < n:
-            table = ctx.table
-            for k in range(phi, n):
-                c = out[k]
-                if c:
-                    row = table[k - phi]
-                    for j in range(phi):
-                        if row[j]:
-                            out[j] += c * row[j]
-        return CycNum._make(n, out[:phi], self.den * b.den)
+        return CycNum._make(n, _fold(out, context(n)), self.den * b.den)
 
     __rmul__ = __mul__
 
@@ -281,21 +250,33 @@ class CycNum:
         return self.inv() * other
 
     def inv(self) -> "CycNum":
+        """1/a = R / (aR), where aR = prod_{h in H} sigma_h(a) is the norm of a
+        down to the fixed field of a subgroup H of (Z/N)^*, grown until aR is
+        rational.  H grows one cyclic subgroup <k> at a time: with s least such
+        that k^s is in H, the factor prod_{0<j<s} sigma_{k^j}(aR), built by
+        doubling over the bits of s - 1, turns aR into the norm to H<k>."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         n = self.conductor
-        if self.is_rational():
-            q = 1 / self.rational_value()
-            return CycNum.rational(q, n)
-        ctx = context(n)
-        a = [Fraction(c, self.den) for c in self.num]
-        b = [Fraction(c) for c in ctx.cyclo]
-        g, s = _xgcd_poly(a, b)
-        if len(g) != 1:
-            raise ArithmeticError("xgcd failed on cyclotomic modulus")
-        scale = 1 / g[0]
-        raw = {i: c * scale for i, c in enumerate(s)}
-        return reduce(raw, n)
+        b, r, used = self, CycNum.one(n), {1}
+        for k in range(2, n):
+            if b.is_rational():
+                break
+            if k in used or gcd(k, n) != 1:
+                continue
+            s, power = 1, k
+            while power not in used:
+                s, power = s + 1, power * k % n
+            # p = prod_{0<j<=t} sigma_{k^j}(b), from t = 1 up to t = s - 1
+            p, t = _conjugate(b, k), 1
+            for bit in bin(s - 1)[3:]:
+                p, t = p * _conjugate(p, pow(k, t, n)), 2 * t
+                if bit == "1":
+                    t += 1
+                    p = p * _conjugate(b, pow(k, t, n))
+            r, b = r * p, b * p
+            used = {h * pow(k, j, n) % n for h in used for j in range(s)}
+        return CycNum._make(n, [c * b.den for c in r.num], r.den * b.num[0])
 
     def __pow__(self, e: int) -> "CycNum":
         if e < 0:
@@ -373,17 +354,7 @@ def reduce(raw: Mapping[int, int | Fraction], n: int, den: int = 1) -> CycNum:
     vec = [0] * n
     for k, coeff in raw.items():
         vec[k % n] += coeff.numerator * (common // coeff.denominator)
-    phi = ctx.phi
-    if phi < n:
-        table = ctx.table
-        for k in range(phi, n):
-            c = vec[k]
-            if c:
-                row = table[k - phi]
-                for j in range(phi):
-                    if row[j]:
-                        vec[j] += c * row[j]
-    return CycNum._make(n, vec[:phi], common * den)
+    return CycNum._make(n, _fold(vec, ctx), common * den)
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

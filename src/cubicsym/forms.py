@@ -6,12 +6,12 @@ by row k of A.  The action is contravariant: (AB)(F) = B(A(F)).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 from .cyclo import CycNum, common_conductor
+from .linalg import rref
 
 
 @lru_cache(maxsize=None)
@@ -316,23 +316,17 @@ class CycMatrix:
         return det
 
     def inv(self) -> "CycMatrix":
+        """A^-1 read off the reduced echelon form of [A | I]."""
         n = self.conductor
         m = self.dim
-        zero, one = CycNum.zero(n), CycNum.one(n)
-        aug = [list(self.rows[i]) + [one if j == i else zero for j in range(m)]
-               for i in range(m)]
-        for col in range(m):
-            pivot = next((r for r in range(col, m) if not aug[r][col].is_zero()), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pinv = aug[col][col].inv()
-            aug[col] = [c * pinv for c in aug[col]]
-            for r in range(m):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return CycMatrix([row[m:] for row in aug], n)
+        one, zero = CycNum.one(n), CycNum.zero(n)
+        aug = [{j: c for j, c in enumerate(row) if not c.is_zero()} | {m + i: one}
+               for i, row in enumerate(self.rows)]
+        pivots = rref(aug)
+        if any(col not in pivots for col in range(m)):
+            raise ZeroDivisionError("matrix is singular")
+        return CycMatrix([[pivots[i].get(m + j, zero) for j in range(m)]
+                          for i in range(m)], n)
 
     def order(self, cap: int = 10_000) -> int | None:
         """Multiplicative order, or None if it exceeds cap."""

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicsym import corpus
 from cubicsym.cyclo import (MODULAR_PRIME_BOUND, CycNum, common_conductor, context,
-                            cyclotomic_polynomial, modular_embedding,
+                            cyclotomic_polynomial, divisors, modular_embedding,
                             multiplicative_order, reduce, zeta)
 
 CONDUCTORS = (3, 4, 8, 12, 24, 43)
@@ -90,6 +91,95 @@ def test_integer_reduce_and_embed_match_the_fraction_oracle():
                 want = reduce_oracle({i * step: Fraction(c, a.den) for i, c in enumerate(a.num)}, m)
                 got = a.embed(m)
                 assert (got.num, got.den) == (want.num, want.den), (a, m)
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _polydivmod(a, b):
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b) and r:
+        shift = len(r) - len(b)
+        c = r[-1] / b[-1]
+        q[shift] = c
+        for j, bc in enumerate(b):
+            r[shift + j] -= c * bc
+        _trim(r)
+    return q, r
+
+
+def _polymulsub(s0, q, s1):
+    # s0 - q*s1
+    out = list(s0) + [Fraction(0)] * max(len(q) + len(s1) - 1 - len(s0), 0)
+    for i, qc in enumerate(q):
+        if qc:
+            for j, sc in enumerate(s1):
+                if sc:
+                    out[i + j] -= qc * sc
+    return _trim(out)
+
+
+def _xgcd_poly(a, b):
+    # returns (g, s) with s*a = g mod b; g is a nonzero constant when gcd(a, b) = 1
+    r0, r1 = _trim(list(a)), _trim(list(b))
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q, r = _polydivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _polymulsub(s0, q, s1)
+    return r0, s0
+
+
+def inv_oracle(x):
+    """The Fraction polynomial xgcd against Phi_N that `CycNum.inv` used
+    before it took products of Galois conjugates."""
+    n = x.conductor
+    if x.is_rational():
+        return CycNum.rational(1 / x.rational_value(), n)
+    a = [Fraction(c, x.den) for c in x.num]
+    g, s = _xgcd_poly(a, [Fraction(c) for c in cyclotomic_polynomial(n)])
+    assert len(g) == 1
+    return reduce({i: c / g[0] for i, c in enumerate(s)}, n)
+
+
+def corpus_conductors():
+    out = set()
+    for rid in corpus.all_ids():
+        r = corpus.record(rid)
+        out |= {g.conductor for g in r.generators} | {r.form.conductor}
+    return out
+
+
+def test_inverse_matches_the_xgcd_oracle():
+    """Dense and sparse random elements, rationals, roots of unity and subfield
+    elements, at every tested conductor and every conductor of the corpus.  The
+    oracle is slow at large phi, so those conductors get few dense samples."""
+    rng = random.Random(21)
+    for n in sorted(set(REDUCE_CONDUCTORS) | corpus_conductors()):
+        phi = context(n).phi
+        xs = [CycNum.rational(Fraction(-rng.randint(1, 30), rng.randint(1, 9)), n)
+              for _ in range(3)]
+        xs += [zeta(n, k) for k in rng.sample(range(n), min(n, 4))]
+        xs += [rand_cyc(rng, n) for _ in range(12 if phi <= 16 else 1)]
+        for _ in range(12):
+            vec = [0] * phi
+            for _ in range(rng.randint(1, 3)):
+                vec[rng.randrange(phi)] = rng.randint(-4, 4)
+            xs.append(CycNum.from_vector(n, vec, rng.randint(1, 5)))
+        for d in divisors(n)[1:-1]:
+            xs.append(rand_cyc(rng, d).embed(n))
+        for x in xs:
+            if not x.is_zero():
+                got, want = x.inv(), inv_oracle(x)
+                assert (got.num, got.den) == (want.num, want.den), (n, x)
+    for x in (zeta(3).embed(12), (zeta(8) + zeta(8, 7)).embed(24),
+              (1 + zeta(4)).embed(60), (zeta(7) + zeta(7, 6)).embed(63)):
+        got, want = x.inv(), inv_oracle(x)
+        assert (got.num, got.den) == (want.num, want.den), x
 
 
 def test_mul_and_inverse_examples():

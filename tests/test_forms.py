@@ -141,7 +141,18 @@ def test_matrix_operations():
     assert (a * a.inv()).is_identity()
     p = CycMatrix.permutation([2, 0, 1, 3])
     assert p.is_semi_permutation()
+    assert p.inv() == p * p
     assert not rand_matrix(rng, 3).is_semi_permutation() or True
     d = CycMatrix.diagonal([zeta(4), zeta(4, 3)])
     assert d.order() == 4
     assert CycMatrix.scalar(3, zeta(3)).is_scalar()
+
+
+def test_singular_matrix_has_no_inverse():
+    w = zeta(3)
+    # the third row is w times the first plus the second
+    rows = [[1, w, 0], [0, 1, w * w], [w, w * w + 1, w * w]]
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        CycMatrix.from_rows(rows).inv()
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        CycMatrix.from_rows([[0, 1], [0, w]]).inv()
