@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus
-from .forms import CycMatrix, Form, fixes, semi_invariance_factor
+from .forms import CycMatrix, Form, fixes
 from .diffrank import eigen_partition_witness, rank_d, support_partition
 from .groups import CapExceeded, DEFAULT_CAP, MatGroup, closure, projective_order, scalar_subgroup
-from .invariants import covering_lift, invariant_forms, is_symplectic, symplectic_order
+from .invariants import (_factor_and_character, covering_lift, invariant_forms,
+                         symplectic_order)
 from .reps import AbelianGroupSpec, classify, enumerate_diagonal_reps
 from .smooth import DEFAULT_BUDGET, is_smooth
 
@@ -110,8 +111,8 @@ def job_invariants(group: str, degree: int = 3, expect: int | None = None) -> Ou
 def job_symplectic(matrix: str, form: str, expect: bool | None = None) -> Outcome:
     a = CycMatrix.parse(Path(matrix).read_text())
     f = _read_form(form)
-    verdict = is_symplectic(a, f)  # raises unless A(F) = lambda*F
-    lam = semi_invariance_factor(a, f)
+    lam, chi = _factor_and_character(a, f)  # raises unless A(F) = lambda*F
+    verdict = chi.is_one()
     line = f"{'YES' if verdict else 'NO'} lambda {lam.encode()} det {a.det().encode()}"
     return Outcome(_against(verdict, expect), verdict, (line,))
 

@@ -82,9 +82,6 @@ class Form:
     def support(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.terms)
 
-    def coefficient(self, e: Sequence[int]) -> CycNum:
-        return self.terms.get(tuple(e), CycNum.zero(self.conductor))
-
     def lift(self, n: int) -> "Form":
         if n == self.conductor:
             return self
@@ -264,9 +261,6 @@ class CycMatrix:
         if self._hash is None:
             self._hash = hash((self.dim, self.conductor, self.rows))
         return self._hash
-
-    def entry(self, i: int, j: int) -> CycNum:
-        return self.rows[i][j]
 
     def is_diagonal(self) -> bool:
         return all(self.rows[i][j].is_zero()

@@ -74,13 +74,9 @@ def reynolds_average(group: MatGroup, f: Form) -> Form:
     return total.scale(Fraction(1, group.order))
 
 
-def symplectic_character(a: CycMatrix, f: Form) -> CycNum:
-    """chi(A) = det(A) / lambda^2, where A(F) = lambda*F, for a cubic fourfold F.
-
-    chi is a homomorphism to the roots of unity. Scaling A by c multiplies
-    det(A) by c^6 and lambda by c^3, so chi(cA) = chi(A) and chi factors
-    through the projective image: [A] acts symplectically iff chi(A) = 1.
-    """
+def _factor_and_character(a: CycMatrix, f: Form) -> tuple[CycNum, CycNum]:
+    """(lambda, chi(A)) for A(F) = lambda*F; raises unless F is a cubic
+    fourfold and lambda a root of unity."""
     if f.nvars != 6 or f.degree != 3:
         raise ValueError("symplectic criterion applies to cubic fourfolds")
     lam = semi_invariance_factor(a, f)
@@ -90,7 +86,17 @@ def symplectic_character(a: CycMatrix, f: Form) -> CycNum:
     if not (lam ** lcm(2, lam.conductor)).is_one():
         raise ValueError("matrix has infinite order: lambda is not a root of unity")
     n = common_conductor(a.conductor, lam.conductor)
-    return a.lift(n).det() / (lam ** 2).embed(n)
+    return lam, a.lift(n).det() / (lam ** 2).embed(n)
+
+
+def symplectic_character(a: CycMatrix, f: Form) -> CycNum:
+    """chi(A) = det(A) / lambda^2, where A(F) = lambda*F, for a cubic fourfold F.
+
+    chi is a homomorphism to the roots of unity. Scaling A by c multiplies
+    det(A) by c^6 and lambda by c^3, so chi(cA) = chi(A) and chi factors
+    through the projective image: [A] acts symplectically iff chi(A) = 1.
+    """
+    return _factor_and_character(a, f)[1]
 
 
 def is_symplectic(a: CycMatrix, f: Form) -> bool:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
-from math import gcd, lcm
+from itertools import permutations, product
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .cyclo import CycNum, zeta
@@ -92,10 +92,6 @@ class RepClass:
     d: int
     exp_matrix: tuple[tuple[int, ...], ...]  # k rows, m columns
 
-    def columns(self) -> list[tuple[int, ...]]:
-        k = len(self.spec.factors)
-        return [tuple(self.exp_matrix[j][c] for j in range(k)) for c in range(self.m)]
-
     def generator_matrices(self) -> list[CycMatrix]:
         out = []
         for j, nj in enumerate(self.spec.factors):
@@ -115,9 +111,6 @@ class RepClass:
             if ok:
                 out.append(e)
         return tuple(out)
-
-    def canonical(self) -> tuple:
-        return canonicalize(self)
 
 
 # -- canonical subgroup encodings -------------------------------------------
@@ -170,8 +163,6 @@ def _min_columns(elements: list[tuple[int, ...]], m: int) -> tuple:
     base = arr[:, rep_cols]
     k = len(rep_cols)
     best: tuple | None = None
-    from itertools import permutations
-
     for perm in permutations(range(k)):
         cols: list[int] = []
         for p in perm:
@@ -202,79 +193,69 @@ def _first_per_class(classes: Iterable[RepClass]) -> list[RepClass]:
 # -- enumeration -------------------------------------------------------------
 
 
-def _dual_automorphism_tables(spec: AbelianGroupSpec) -> tuple[list[np.ndarray], bool]:
-    """Index tables of automorphisms of the dual group (= Aut(G)); the flag says
-    whether the whole automorphism group was enumerated."""
+def _element_grid(spec: AbelianGroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The elements as an (order, k) array in the order of spec.elements(), and
+    the weights taking an element to its index there (the index of e_j is the
+    j-th weight)."""
+    import numpy as np
+    factors = spec.factors
+    weights = [spec.order // prod(factors[:j + 1]) for j in range(len(factors))]
+    return np.array(spec.elements(), dtype=np.int64), np.array(weights, dtype=np.int64)
+
+
+def _dual_automorphism_tables(spec: AbelianGroupSpec) -> tuple[np.ndarray, bool]:
+    """Index tables of automorphisms of the dual group (= Aut(G)), one per row;
+    the flag says whether the whole automorphism group was enumerated.
+
+    Both cases close a set of automorphisms under composition.  When
+    order^k <= AUT_ENUM_CAP (which bounds |Aut(G)|) the set is the unit
+    scalings and the transvections e_j -> e_j + c*e_t, c = n_t/gcd(n_t, n_j),
+    which generate Aut(G) (Hillar & Rhea 2007); the tables are then sorted by
+    their images of e_1..e_k.  Otherwise the unit scalings and the swaps of
+    equal factors generate a subgroup, closed until it has 20,000 tables."""
     import numpy as np
     factors = spec.factors
     k = len(factors)
-    elems = spec.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    order = spec.order
+    elems, weights = _element_grid(spec)
 
-    def table_from_matrix(images: list[tuple[int, ...]]) -> np.ndarray | None:
-        # images[j] = image of the j-th standard generator
-        tab = np.empty(order, dtype=np.int64)
-        hit = set()
-        for e, i in index.items():
-            y = [0] * k
-            for j in range(k):
-                if e[j]:
-                    for t in range(k):
-                        y[t] = (y[t] + e[j] * images[j][t]) % factors[t]
-            yi = index[tuple(y)]
-            tab[i] = yi
-            hit.add(yi)
-        if len(hit) != order:
-            return None
-        return tab
+    def table(images: np.ndarray) -> np.ndarray:
+        # row j of images is the image of the j-th standard generator
+        return (elems @ images % factors) @ weights
 
-    complete = order ** k <= AUT_ENUM_CAP
-    tables = []
+    def elementary(j: int, t: int, c: int) -> np.ndarray:
+        images = np.eye(k, dtype=np.int64)
+        images[j, t] = c
+        return images
+
+    seeds = [elementary(j, j, u) for j, nj in enumerate(factors)
+             for u in range(2, nj) if gcd(u, nj) == 1]
+    complete = spec.order ** k <= AUT_ENUM_CAP
     if complete:
-        for combo in product(elems, repeat=k):
-            ok = True
-            for j in range(k):
-                # the image of a generator of order n_j must be killed by n_j
-                if any((factors[j] * combo[j][t]) % factors[t] for t in range(k)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            tab = table_from_matrix(list(combo))
-            if tab is not None:
-                tables.append(tab)
+        seeds += [elementary(j, t, factors[t] // gcd(factors[t], factors[j]))
+                  for j, t in permutations(range(k), 2)]
     else:
-        # generating subset: unit scalings per factor and swaps of equal factors
-        seeds = []
-        for j in range(k):
-            for u in range(2, factors[j]):
-                if gcd(u, factors[j]) == 1:
-                    images = [tuple(1 if t == jj else 0 for t in range(k)) for jj in range(k)]
-                    images[j] = tuple(u if t == j else 0 for t in range(k))
-                    seeds.append(images)
-        for j in range(k - 1):
-            if factors[j] == factors[j + 1]:
-                images = [tuple(1 if t == jj else 0 for t in range(k)) for jj in range(k)]
-                images[j], images[j + 1] = images[j + 1], images[j]
-                seeds.append(images)
-        tabs = [table_from_matrix(img) for img in seeds]
-        base = [t for t in tabs if t is not None]
-        ident = np.arange(order, dtype=np.int64)
-        seen = {ident.tobytes()}
-        tables = [ident]
-        frontier = [ident]
-        while frontier and len(tables) < 20_000:
-            nxt = []
-            for t in frontier:
-                for b in base:
-                    c = b[t]
-                    key = c.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        tables.append(c)
-                        nxt.append(c)
-            frontier = nxt
+        seeds += [np.eye(k, dtype=np.int64)[[*range(j), j + 1, j, *range(j + 2, k)]]
+                  for j in range(k - 1) if factors[j] == factors[j + 1]]
+    base = [table(img) for img in seeds]
+    ident = np.arange(spec.order, dtype=np.int64)
+    seen = {ident.tobytes()}
+    tables = [ident]
+    frontier = [ident]
+    while frontier and (complete or len(tables) < 20_000):
+        nxt = []
+        for t in frontier:
+            for b in base:
+                c = b[t]
+                key = c.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    tables.append(c)
+                    nxt.append(c)
+        frontier = nxt
+    tables = np.stack(tables)
+    if complete:
+        # lexsort's last key is its primary one: keys are the images of e_k..e_1
+        tables = tables[np.lexsort(tables[:, weights[::-1]].T)]
     return tables, complete
 
 
@@ -289,28 +270,15 @@ def _twist_shifts(spec: AbelianGroupSpec, d: int) -> list[tuple[int, ...]]:
 
 
 def _combined_tables(spec: AbelianGroupSpec, d: int) -> tuple[np.ndarray, bool]:
+    """The automorphism tables followed by each twist, automorphism-major.
+    Every automorphism fixes 0, so a table's image of 0 names its twist and
+    the tables are distinct."""
     import numpy as np
-    elems = spec.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    factors = spec.factors
+    elems, weights = _element_grid(spec)
     auts, complete = _dual_automorphism_tables(spec)
-    shifts = _twist_shifts(spec, d)
-    shift_tabs = []
-    for s in shifts:
-        tab = np.empty(len(elems), dtype=np.int64)
-        for e, i in index.items():
-            tab[i] = index[tuple((a + b) % n for a, b, n in zip(e, s, factors))]
-        shift_tabs.append(tab)
-    combined = []
-    seen = set()
-    for a in auts:
-        for s in shift_tabs:
-            t = s[a]
-            key = t.tobytes()
-            if key not in seen:
-                seen.add(key)
-                combined.append(t)
-    return np.array(combined, dtype=np.int64), complete
+    shifts = np.array(_twist_shifts(spec, d), dtype=np.int64)
+    shift_tabs = (elems + shifts[:, None]) % spec.factors @ weights
+    return shift_tabs[:, auts].swapaxes(0, 1).reshape(-1, spec.order), complete
 
 
 _BLOCK = 1 << 16  # rows per block: a block's byte columns stay in cache

@@ -142,7 +142,10 @@ def test_matrix_operations():
     p = CycMatrix.permutation([2, 0, 1, 3])
     assert p.is_semi_permutation()
     assert p.inv() == p * p
-    assert not rand_matrix(rng, 3).is_semi_permutation() or True
+    assert not CycMatrix.from_rows([[1, 1], [0, 1]]).is_semi_permutation()
+    monomial = CycMatrix.permutation([1, 2, 0]) * CycMatrix.diagonal(
+        [zeta(3), CycNum.rational(-2, 3), zeta(3, 2)])
+    assert monomial.is_semi_permutation()
     d = CycMatrix.diagonal([zeta(4), zeta(4, 3)])
     assert d.order() == 4
     assert CycMatrix.scalar(3, zeta(3)).is_scalar()

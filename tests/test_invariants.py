@@ -124,7 +124,6 @@ def test_symplectic_is_conjugation_invariant():
         from cubicsym.forms import semi_invariance_factor
         lam1 = semi_invariance_factor(a, f)
         lam2 = semi_invariance_factor(conj, g)
-        n = max(lam1.conductor, lam2.conductor)
         assert lam1.embed(48) == lam2.embed(48)
         assert a.det().embed(48) == conj.det().embed(48)
         assert is_symplectic(conj, g) == is_symplectic(a, f)

@@ -1,17 +1,20 @@
 """The column kernels of the enumerator against reference copies of the row
 kernels they replaced: sort each gathered (N, m) block with np.sort, pack
-every row into uint64 keys, and evaluate the masks with int64 weights."""
+every row into uint64 keys, and evaluate the masks with int64 weights.  The
+symmetry tables are checked against the scan over all generator images that
+the closure of elementary automorphisms replaced."""
 
 import tracemalloc
 from itertools import product
+from math import gcd, prod
 
 import numpy as np
 import pytest
 
 from cubicsym import reps
 from cubicsym.reps import (AbelianGroupSpec, _bulk_square_mask, _canonical_rows,
-                           _combined_tables, _rows_to_classes, _sort_columns, _valid_mask,
-                           classify)
+                           _combined_tables, _rows_to_classes, _sort_columns,
+                           _twist_shifts, _valid_mask, classify)
 
 GROUPS = [[2], [3], [4], [6], [7], [8], [12], [2, 2], [2, 4], [3, 3], [2, 2, 2]]
 
@@ -105,6 +108,79 @@ def _reference_bulk_square_mask(rows, spec):
             has |= ok
         keep &= has
     return keep
+
+
+def _reference_automorphism_tables(spec):
+    """Up to AUT_ENUM_CAP: every choice of generator images, in product
+    order, that respects the generator orders and gives a bijection. Past it:
+    the closure of the unit scalings and the swaps of equal factors."""
+    factors = spec.factors
+    k = len(factors)
+    elems = np.array(spec.elements(), dtype=np.int64)
+    lookup = np.empty(factors, dtype=np.int64)
+    lookup[tuple(elems.T)] = np.arange(spec.order)
+
+    def tables_of(images):  # images: (count, k, k), row j = image of e_j
+        y = np.einsum("xj,cjt->cxt", elems, images) % factors
+        return lookup[tuple(np.moveaxis(y, -1, 0))]
+
+    if spec.order ** k <= reps.AUT_ENUM_CAP:
+        # the image of a generator of order n_j must be killed by n_j
+        allowed = [[y for y in spec.elements()
+                    if not any(nj * a % f for a, f in zip(y, factors))] for nj in factors]
+        tabs = tables_of(np.array(list(product(*allowed)), dtype=np.int64).reshape(-1, k, k))
+        bijective = (np.sort(tabs, axis=1) == np.arange(spec.order)).all(axis=1)
+        return list(tabs[bijective]), True
+    seeds = []
+    for j, nj in enumerate(factors):
+        for u in range(2, nj):
+            if gcd(u, nj) == 1:
+                seeds.append(np.diag([u if t == j else 1 for t in range(k)]))
+    for j in range(k - 1):
+        if factors[j] == factors[j + 1]:
+            swap = np.eye(k, dtype=np.int64)
+            swap[[j, j + 1]] = swap[[j + 1, j]]
+            seeds.append(swap)
+    base = list(tables_of(np.array(seeds, dtype=np.int64).reshape(-1, k, k)))
+    ident = np.arange(spec.order, dtype=np.int64)
+    seen, tables, frontier = {ident.tobytes()}, [ident], [ident]
+    while frontier and len(tables) < 20_000:
+        nxt = []
+        for t in frontier:
+            for b in base:
+                c = b[t]
+                if c.tobytes() not in seen:
+                    seen.add(c.tobytes())
+                    tables.append(c)
+                    nxt.append(c)
+        frontier = nxt
+    return tables, False
+
+
+def _reference_combined_tables(spec, d, auts):
+    """Each automorphism followed by each twist, the first of equal tables kept."""
+    elems = spec.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    shift_tabs = [np.array([index[tuple((a + b) % n for a, b, n in zip(e, s, spec.factors))]
+                            for e in elems], dtype=np.int64)
+                  for s in _twist_shifts(spec, d)]
+    combined, seen = [], set()
+    for a in auts:
+        for s in shift_tabs:
+            if s[a].tobytes() not in seen:
+                seen.add(s[a].tobytes())
+                combined.append(s[a])
+    return np.array(combined, dtype=np.int64)
+
+
+def _chains(max_order, chain=()):
+    """Every invariant-factor chain n_1 | n_2 | ... with product <= max_order."""
+    c = chain[-1] if chain else 2
+    while prod(chain) * c <= max_order:
+        if not chain or c % chain[-1] == 0:
+            yield chain + (c,)
+            yield from _chains(max_order, chain + (c,))
+        c += 1
 
 
 def _assert_same_array(got, want):
@@ -213,3 +289,29 @@ def test_sorting_network_sorts_every_zero_one_input(m):
     for lo, hi in zip(cols, cols[1:]):
         assert (lo <= hi).all()
     assert np.array_equal(sum(c.astype(int) for c in cols), ones)
+
+
+def test_closure_gives_the_scanned_automorphism_tables():
+    # C2^4 is the costliest group here: 16^4 image choices, 20,160 automorphisms
+    groups = [AbelianGroupSpec(c) for c in _chains(32)
+              if prod(c) ** len(c) <= reps.AUT_ENUM_CAP]
+    assert len(groups) == 52 and AbelianGroupSpec((2, 2, 2, 2)) in groups
+    for spec in groups:
+        auts, complete = _reference_automorphism_tables(spec)
+        assert complete
+        for d in (2, 3):
+            tables, flag = _combined_tables(spec, d)
+            assert flag
+            _assert_same_array(tables, _reference_combined_tables(spec, d, auts))
+
+
+def test_capped_closure_keeps_the_scalings_and_swaps(monkeypatch):
+    monkeypatch.setattr(reps, "AUT_ENUM_CAP", 10)
+    for factors in ([2, 2], [3, 3], [2, 4, 4]):
+        spec = AbelianGroupSpec.from_factors(factors)
+        auts, complete = _reference_automorphism_tables(spec)
+        assert not complete
+        for d in (2, 3):
+            tables, flag = _combined_tables(spec, d)
+            assert not flag
+            _assert_same_array(tables, _reference_combined_tables(spec, d, auts))
