@@ -365,15 +365,19 @@ def common_conductor(*conductors: int) -> int:
     return lcm(*conductors)
 
 
-def multiplicative_order(a: CycNum, cap: int = 10_000) -> int | None:
-    """Smallest k >= 1 with a^k = 1, or None if it exceeds cap."""
-    one = CycNum.one(a.conductor)
-    x = a
-    for k in range(1, cap + 1):
-        if x == one:
-            return k
-        x = x * a
-    return None
+def multiplicative_order(a: CycNum) -> int | None:
+    """Smallest k >= 1 with a^k = 1, or None when a is not a root of unity.
+
+    The roots of unity in Q(zeta_N) have orders dividing L = lcm(2, N), so
+    the order divides L whenever it exists: divide the primes of L out of L
+    while the power stays 1."""
+    k = lcm(2, a.conductor)
+    if not (a ** k).is_one():
+        return None
+    for q in filter(_is_prime, divisors(k)):
+        while k % q == 0 and (a ** (k // q)).is_one():
+            k //= q
+    return k
 
 
 # -- reduction modulo a prime --------------------------------------------------

@@ -82,8 +82,7 @@ def _factor_and_character(a: CycMatrix, f: Form) -> tuple[CycNum, CycNum]:
     lam = semi_invariance_factor(a, f)
     if lam is None:
         raise ValueError("matrix does not preserve the form up to scalar")
-    # the roots of unity in Q(zeta_N) have orders dividing lcm(2, N)
-    if not (lam ** lcm(2, lam.conductor)).is_one():
+    if multiplicative_order(lam) is None:
         raise ValueError("matrix has infinite order: lambda is not a root of unity")
     n = common_conductor(a.conductor, lam.conductor)
     return lam, a.lift(n).det() / (lam ** 2).embed(n)
@@ -115,7 +114,7 @@ def symplectic_order(group: MatGroup, f: Form) -> int:
     for g in group.generators:
         k = multiplicative_order(symplectic_character(g, f))
         if k is None:
-            raise ValueError("symplectic character has unreasonably large order")
+            raise ValueError("symplectic character is not a root of unity")
         image = lcm(image, k)
     return projective_order(group) // image
 

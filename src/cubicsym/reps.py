@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .cyclo import CycNum, zeta
 from .forms import CycMatrix, Form, monomials
-from .smooth import (NonSmoothWitness, _support_non_smooth,
-                     find_partition_cover, is_smooth)
+from .smooth import NonSmoothWitness, _support_non_smooth, is_smooth
 
 AUT_ENUM_CAP = 300_000
 
@@ -236,14 +236,18 @@ def _dual_automorphism_tables(spec: AbelianGroupSpec) -> tuple[np.ndarray, bool]
     else:
         seeds += [np.eye(k, dtype=np.int64)[[*range(j), j + 1, j, *range(j + 2, k)]]
                   for j in range(k - 1) if factors[j] == factors[j + 1]]
-    base = [table(img) for img in seeds]
-    ident = np.arange(spec.order, dtype=np.int64)
+    # the list, the keys and the stack hold the narrowest dtype that fits an index;
+    # a table is widened once to index with, as numpy would on every gather
+    dtype = np.min_scalar_type(spec.order - 1)
+    base = [table(img).astype(dtype) for img in seeds]
+    ident = np.arange(spec.order, dtype=dtype)
     seen = {ident.tobytes()}
     tables = [ident]
     frontier = [ident]
     while frontier and (complete or len(tables) < 20_000):
         nxt = []
         for t in frontier:
+            t = t.astype(np.intp)
             for b in base:
                 c = b[t]
                 key = c.tobytes()
@@ -465,20 +469,16 @@ class RepVerdict:
 # the witness search's tries per class, before it calls the class undecided
 STRUCTURED_TRIES = 64
 RANDOM_TRIES = 200
-_WITNESS_COEFFS = None
 
 
-def _witness_coeffs():
-    global _WITNESS_COEFFS
-    if _WITNESS_COEFFS is None:
-        s3 = zeta(12) + zeta(12, 11)
-        _WITNESS_COEFFS = (CycNum.one(12), -CycNum.one(12), zeta(3).embed(12),
-                           (s3 - 1) * 3)
-    return _WITNESS_COEFFS
+@cache
+def _witness_coeffs() -> tuple[CycNum, ...]:
+    s3 = zeta(12) + zeta(12, 11)
+    return CycNum.one(12), -CycNum.one(12), zeta(3).embed(12), (s3 - 1) * 3
 
 
 def _require_cubic(d: int) -> None:
-    # the support conditions L38-i..iv and L310, and the witness forms, are cubic
+    # the support conditions and the witness forms are cubic
     if d != 3:
         raise ValueError(f"the smoothness filter handles degree 3 only, got degree {d}")
 
@@ -489,30 +489,24 @@ def filter_to_nd_reps(classes: Sequence[RepClass], n: int, d: int) -> list[RepVe
     witness form; undecided when the search budget runs out.
 
     A rejection holds for every invariant cubic, not only for the full
-    support. Each L38 witness says either that no monomial has a property
-    (L38-i: no x_i^2) or that every monomial has one (L38-ii to iv), and so
-    does the L310 cover (every monomial fits one of its patterns). The
-    support of an invariant cubic is a subset of the full support, and both
-    kinds of statement pass from a set to its subsets.
+    support. Each witness says that the support lies in an ideal
+    (x_A) + (x_B)^2, and so does every subset of it, such as the support of
+    an invariant cubic.
     """
     _require_cubic(d)
+    if any(rc.m != n + 2 for rc in classes):
+        raise ValueError("representation dimension must equal n + 2")
+    if any(rc.d != d for rc in classes):
+        raise ValueError(f"representation classes must be of degree {d}")
     out = []
     for rc in classes:
-        m = rc.m
-        if m != n + 2:
-            raise ValueError("representation dimension must equal n + 2")
         support = rc.invariant_support()
         rng = random.Random(hash((rc.exp_matrix, n, d)) & 0xFFFFFFFF)
-        w = _support_non_smooth(support, m)
+        w = _support_non_smooth(support, rc.m)
         if w is not None:
             out.append(RepVerdict(rc, "rejected", None, w, support))
-            continue
-        cover = find_partition_cover(support, m)
-        if cover is not None:
-            w = NonSmoothWitness("L310", cover)
-            out.append(RepVerdict(rc, "rejected", None, w, support))
-            continue
-        out.append(_search_smooth_witness(rc, support, rng))
+        else:
+            out.append(_search_smooth_witness(rc, support, rng))
     return out
 
 

@@ -1,9 +1,17 @@
 """Smoothness of the projective hypersurface X_F.
 
-Two combinatorial non-smoothness filters for cubics (positive answers are
-certificates of singularity), plus an exact decision through the Jacobian
-criterion: X_F is smooth iff the partials have no common projective zero,
-certified by pure-power leading terms in a graded-reverse-lex Groebner basis.
+One combinatorial non-smoothness filter for cubics, whose positive answers
+certify singularity: F lies in (x_A) + (x_B)^2 for disjoint sets A, B of
+variables with 2|A| + |B| < m.  On the linear space x_A = x_B = 0, a
+P^(m-|A|-|B|-1), F and its partials by the other variables vanish, and its
+partials by x_A restrict to |A| quadrics, which have a common zero there since
+|A| <= m-|A|-|B|-1.  The conditions L38-i..iv are the shapes (|A|, |B|) =
+(0, m-1), (3, 0), (2, 2) and (1, 4), and the cover (V1, V2, V3) of L310 with
+|V1| > |V2| is A = V2, B = V3.
+
+Plus an exact decision through the Jacobian criterion: X_F is smooth iff the
+partials have no common projective zero, certified by pure-power leading terms
+in a graded-reverse-lex Groebner basis.
 
 Before the exact basis over Q(zeta_N), `is_smooth` runs Buchberger over F_p,
 through the map zeta_N -> r of `cyclo.modular_embedding`, whose kernel on
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, combinations_with_replacement, islice
+from itertools import combinations
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -58,43 +66,65 @@ class SmoothResult:
 
 
 @lru_cache(maxsize=None)
-def _l38_table(m: int) -> tuple[dict[tuple[int, ...], int], dict[NonSmoothWitness, int]]:
-    """Each cubic monomial's bit, and each L38 condition in scan order with the mask of
-    the monomials outside its ideal (x_A) + (x_B)^2, which a support meets iff it misses
-    the mask: (i) at i: A empty, B all variables but i; (ii) |A| = 3, B empty;
-    (iii) |A| = |B| = 2; (iv) |A| = 1, |B| = 4."""
+def _monomial_masks(m: int) -> tuple[dict[tuple[int, ...], int], list[int], list[int]]:
+    """Each cubic monomial's bit, and for each variable v the masks of the monomials
+    that x_v and x_v^2 divide."""
     bit = {e: 1 << k for k, e in enumerate(monomials(m, 3))}
-    # the monomials each generator divides: x_v, keyed (v,), for v in A, and x_v x_w,
-    # keyed (v, w), for v <= w in B
-    div = {g: sum(x for e, x in bit.items() if all(e[v] >= g.count(v) for v in g))
-           for n in (1, 2) for g in combinations_with_replacement(range(m), n)}
-    shapes = [("L38-i", (i,), (), tuple(v for v in range(m) if v != i)) for i in range(m)]
-    shapes += [("L38-ii", trio, trio, ()) for trio in combinations(range(m), 3)]
-    shapes += [("L38-iii", pq + rs, pq, rs) for pq in combinations(range(m), 2)
-               for rs in combinations(range(m), 2) if not set(pq) & set(rs)]
-    shapes += [("L38-iv", (p,) + quad, (p,), quad) for p in range(m)
-               for quad in combinations(range(m), 4) if p not in quad]
-    return bit, {NonSmoothWitness(kind, data): ((1 << len(bit)) - 1) & ~reduce(or_, [
-        div[g] for g in chain(combinations(a, 1), combinations_with_replacement(b, 2))], 0)
-        for kind, data, a, b in shapes}
+    once, twice = ([sum(x for e, x in bit.items() if e[v] >= n) for v in range(m)]
+                   for n in (1, 2))
+    return bit, once, twice
+
+
+def _outside(m: int, a: Sequence[int], b: Sequence[int]) -> int:
+    """The mask of the cubic monomials outside (x_A) + (x_B)^2: those that no x_v,
+    v in A, divides and whose degree in the variables of B is at most 1."""
+    bit, once, twice = _monomial_masks(m)
+    inside = reduce(or_, [once[v] for v in a], 0)
+    seen = 0
+    for v in b:
+        inside |= twice[v] | (seen & once[v])
+        seen |= once[v]
+    return ((1 << len(bit)) - 1) & ~inside
+
+
+def _witness(a: tuple[int, ...], b: tuple[int, ...], m: int) -> NonSmoothWitness:
+    """The witness that F lies in (x_A) + (x_B)^2, named by the shape (|A|, |B|):
+    L38-i (0, m - 1) by the variable missing from B, L38-ii..iv (3, 0), (2, 2) and
+    (1, 4) as A + B, and every other shape as the L310 cover (V1, A, B)."""
+    kind = {(0, m - 1): "L38-i", (3, 0): "L38-ii", (2, 2): "L38-iii",
+            (1, 4): "L38-iv"}.get((len(a), len(b)), "L310")
+    rest = tuple(v for v in range(m) if v not in a + b)
+    if kind == "L310":
+        return NonSmoothWitness(kind, (rest, a, b))
+    return NonSmoothWitness(kind, rest if kind == "L38-i" else a + b)
+
+
+@lru_cache(maxsize=None)
+def _support_table(m: int) -> tuple[dict[tuple[int, ...], int], dict[NonSmoothWitness, int]]:
+    """Each cubic monomial's bit, and in scan order, for every disjoint A, B with
+    2|A| + |B| = m - 1, the witness of (x_A) + (x_B)^2 with the mask of the
+    monomials outside it: a support lies in the ideal iff it misses the mask.
+    L38-i comes first, for i ascending; then |A| descending, A and B in
+    `combinations` order."""
+    shapes = [((), tuple(v for v in range(m) if v != i)) for i in range(m)]
+    shapes += [(a, b) for n in range((m - 1) // 2, 0, -1) for a in combinations(range(m), n)
+               for b in combinations([v for v in range(m) if v not in a], m - 1 - 2 * n)]
+    return _monomial_masks(m)[0], {_witness(a, b, m): _outside(m, a, b) for a, b in shapes}
 
 
 def _support_non_smooth(support: Iterable[tuple[int, ...]], m: int) -> NonSmoothWitness | None:
-    """The first of the four cubic conditions that a monomial support meets.
-
-    Condition (i) (a coordinate point where all partials vanish) is sound for
-    every m.  Conditions (ii)-(iv) force a singular point by intersecting 3, 2,
-    or 1 quadrics on a linear subspace of dimension m-4, m-5, m-6, so they are
-    sound only for m >= 7: at m = 6 there are smooth cubics inside an ideal of
-    three variables, so below m = 7 the scan reads only the m entries of (i)."""
-    bit, table = _l38_table(m)
+    """The first entry of the support table that a monomial support meets.  A
+    larger B only widens the ideal, so the maximal shapes, 2|A| + |B| = m - 1,
+    catch every support that some condition of the family holds."""
+    bit, table = _support_table(m)
     bits = reduce(or_, map(bit.__getitem__, support), 0)
-    entries = table.items() if m >= 7 else islice(table.items(), m)
-    return next((w for w, mask in entries if not bits & mask), None)
+    return next((w for w, mask in table.items() if not bits & mask), None)
 
 
 def combinatorial_non_smooth(f: Form) -> NonSmoothWitness | None:
-    """First witness among conditions (i)-(iv), scanning in order; None proves nothing."""
+    """The first ideal (x_A) + (x_B)^2 with 2|A| + |B| < m that holds F, in scan
+    order: F is then singular at the common zeros of |A| quadrics on the
+    P^(m-|A|-|B|-1) where x_A = x_B = 0.  None proves nothing."""
     if f.degree != 3:
         raise ValueError("combinatorial filter applies to cubic forms only")
     if f.nvars < 4:
@@ -102,76 +132,43 @@ def combinatorial_non_smooth(f: Form) -> NonSmoothWitness | None:
     return _support_non_smooth(f.terms.keys(), f.nvars)
 
 
-def _cover_ok(e: tuple[int, ...], labels: Sequence[int]) -> bool:
-    c1 = sum(x for x, l in zip(e, labels) if l == 0)
-    if c1 == 0 or c1 == 1:
-        return True
-    if c1 == 2:
-        c3 = sum(x for x, l in zip(e, labels) if l == 2)
-        return c3 == 0
-    return False
+def _meets(f: Form, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether F lies in (x_A) + (x_B)^2."""
+    bit = _monomial_masks(f.nvars)[0]
+    mask = _outside(f.nvars, a, b)
+    return not any(bit[e] & mask for e in f.terms)
 
 
 def partition_non_smooth(f: Form, v1: Sequence[int], v2: Sequence[int],
                          v3: Sequence[int]) -> bool:
     """True iff every monomial matches one of the three patterns for the cover
-    (V1, V2, V3); a true answer certifies that F is not smooth."""
+    (V1, V2, V3), that is F lies in (x_V2) + (x_V3)^2; a true answer certifies
+    that F is not smooth."""
     if f.degree != 3:
         raise ValueError("partition filter applies to cubic forms only")
-    m = f.nvars
     sets = [set(v1), set(v2), set(v3)]
     if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
         raise ValueError("variable collections must be disjoint")
-    if sets[0] | sets[1] | sets[2] != set(range(m)):
+    if sets[0] | sets[1] | sets[2] != set(range(f.nvars)):
         raise ValueError("variable collections must cover all variables")
     if len(sets[0]) <= len(sets[1]):
         raise ValueError("need |V1| > |V2|")
-    labels = [0] * m
-    for v in sets[1]:
-        labels[v] = 1
-    for v in sets[2]:
-        labels[v] = 2
-    return all(_cover_ok(e, labels) for e in f.terms)
-
-
-def find_partition_cover(support: Iterable[tuple[int, ...]], m: int):
-    """Return the first (V1, V2, V3) cover whose patterns absorb every monomial
-    of the support, or None.  "First" is in the order of `product((0, 1, 2),
-    repeat=m)` over the labelings (0, 1, 2 for V1, V2, V3).
-
-    Backtracks over the variables in that order: a monomial is checked as
-    soon as its highest variable is labelled, and a branch stops once
-    |V1| > |V2| can no longer hold.
-    """
-    last: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for e in support:
-        last[max((i for i, x in enumerate(e) if x), default=0)].append(e)
-    labels = [0] * m
-
-    def extend(i: int, n1: int, n2: int) -> bool:
-        if i == m:
-            return n1 > n2
-        for label in (0, 1, 2):
-            labels[i] = label
-            a, b = n1 + (label == 0), n2 + (label == 1)
-            # the variables after i carry no exponent in last[i]
-            if (a + m - 1 - i > b and all(_cover_ok(e, labels) for e in last[i])
-                    and extend(i + 1, a, b)):
-                return True
-        return False
-
-    if not extend(0, 0, 0):
-        return None
-    return tuple(tuple(i for i, l in enumerate(labels) if l == k) for k in range(3))
+    return _meets(f, tuple(sets[1]), tuple(sets[2]))
 
 
 def replay(witness: NonSmoothWitness, f: Form) -> bool:
     """Check that the witness still triggers against F."""
+    m, d = f.nvars, witness.data
     if witness.kind.startswith("L38-"):
-        bit, table = _l38_table(f.nvars)
-        if witness not in table:
+        # L38-ii..iv are the shapes with 2|A| + |B| = 6, written A + B
+        k = 6 - len(d)
+        a, b = ((), tuple(v for v in range(m) if v not in d)) if witness.kind == "L38-i" \
+            else (d[:k], d[k:])
+        # the data of a table entry: distinct variables, A and B each ascending
+        if not (_witness(a, b, m) == witness and len(set(d) & set(range(m))) == len(d)
+                and list(a) == sorted(a) and list(b) == sorted(b)):
             raise ValueError(f"unknown witness {witness}")
-        return not any(bit[e] & table[witness] for e in f.terms)
+        return _meets(f, a, b)
     if witness.kind == "L310":
         return partition_non_smooth(f, *witness.data)
     if witness.kind == "JacobianZero":

@@ -271,14 +271,14 @@ def test_example_verify_closure_follows_the_cap(monkeypatch, capsys):
 def test_numpy_loads_only_for_the_jobs_that_use_it():
     # the corpus and every job but the closure and the enumerator run
     # without numpy, so a cold start does not pay for its import; nor does it
-    # build the L38 mask tables, which the first smoothness scan builds
+    # build the support mask tables, which the first smoothness scan builds
     code = """
 import sys
 from cubicsym import cli, corpus, smooth
 records = [corpus.record(rid) for rid in corpus.all_ids()]
 assert len(records) == 35, len(records)
 assert "numpy" not in sys.modules
-assert smooth._l38_table.cache_info().currsize == 0
+assert smooth._support_table.cache_info().currsize == 0
 out = cli._run_task({"task": "reps-count", "abelian": "7", "expect": 1})
 assert out["status"] == "PASS", out
 assert "numpy" in sys.modules

@@ -290,6 +290,10 @@ def test_modular_embedding_prime_and_root():
 def test_root_of_unity_orders():
     for n in CONDUCTORS + (96,):
         assert multiplicative_order(zeta(n)) == n
+    assert multiplicative_order(1 + zeta(3)) == 6
+    assert multiplicative_order(-CycNum.one(3)) == 2
+    assert multiplicative_order(CycNum.rational(2)) is None
+    assert multiplicative_order(1 + zeta(5)) is None
 
 
 @settings(max_examples=60, deadline=None)

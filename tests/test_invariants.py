@@ -153,7 +153,7 @@ def _normalize_order(a: CycMatrix, cap: int = 10_000) -> CycMatrix:
     n, c = _projective_matrix_order(a, cap)
     if c.is_one():
         return a
-    r = multiplicative_order(c, cap)
+    r = multiplicative_order(c)
     big = common_conductor(a.conductor, n * r)
     ce = c.embed(big)
     s = next(s for s in range(r) if zeta(big, (big // r) * s) == ce)

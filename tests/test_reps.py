@@ -9,8 +9,8 @@ from cubicsym.forms import Form, fixes, monomials
 from cubicsym.reps import (AbelianGroupSpec, RepClass, _diagonal_subgroup,
                            accepted_count, canonicalize, classify,
                            enumerate_diagonal_reps, filter_to_nd_reps)
-from cubicsym.smooth import (NonSmoothWitness, _cover_ok, _support_non_smooth,
-                             find_partition_cover, is_smooth, replay)
+from cubicsym.smooth import _support_non_smooth, is_smooth, replay
+from tests.test_smooth import _cover_ok, _oracle_scan
 
 
 def test_spec_normalization():
@@ -177,6 +177,21 @@ def test_c14_rejections_follow_the_forced_monomial_argument():
     assert hits == 6
 
 
+def test_filter_checks_every_class_before_the_first_verdict(monkeypatch):
+    # a class of another degree, or of another dimension in last place, is
+    # refused before any class is filtered, not by a crash in the middle
+    c7 = AbelianGroupSpec.from_factors([7])
+    good = RepClass(c7, 7, 3, ((0, 1, 2, 3, 4, 5, 6),))
+    monkeypatch.setattr(reps, "_support_non_smooth",
+                        lambda *args: pytest.fail("a class was filtered first"))
+    for bad in (RepClass(c7, 7, 2, good.exp_matrix), RepClass(c7, 7, 4, good.exp_matrix),
+                RepClass(c7, 6, 3, ((0, 1, 2, 3, 4, 5),))):
+        with pytest.raises(ValueError):
+            filter_to_nd_reps([bad], 5, 3)
+        with pytest.raises(ValueError):
+            filter_to_nd_reps([good, bad], 5, 3)
+
+
 def test_enumerate_raises_when_materialization_too_large():
     spec = AbelianGroupSpec.from_factors([9, 5])
     with pytest.raises(ValueError):
@@ -192,13 +207,13 @@ def test_support_rejections_replay_on_every_sub_support():
         enumerate_diagonal_reps(AbelianGroupSpec.from_factors([4]), 7, 3), 5, 3)
         if v.status == "rejected"]
     # in 7 variables an L310 cover never adds to L38, so take an 8-variable
-    # support made of every monomial a cover absorbs
+    # support made of every monomial a cover absorbs, which no L38 condition holds
     labels = (0, 0, 0, 0, 1, 1, 1, 2)
     support = tuple(e for e in monomials(8, 3) if _cover_ok(e, labels))
-    assert _support_non_smooth(support, 8) is None
-    cover = find_partition_cover(support, 8)
-    assert cover is not None
-    rejected.append((NonSmoothWitness("L310", cover), support))
+    assert _oracle_scan(support, 8) is None
+    w = _support_non_smooth(support, 8)
+    assert w is not None and w.kind == "L310"
+    rejected.append((w, support))
     kinds = {w.kind for w, _ in rejected}
     assert kinds == {"L38-i", "L38-ii", "L38-iii", "L38-iv", "L310"}
     for w, supp in rejected:

@@ -305,6 +305,14 @@ def test_closure_gives_the_scanned_automorphism_tables():
             _assert_same_array(tables, _reference_combined_tables(spec, d, auts))
 
 
+def test_automorphism_tables_are_built_narrow():
+    # the closure keeps its tables in the narrowest dtype that holds an index;
+    # _combined_tables widens them again (int64, checked above)
+    for factors, dtype in (([6, 6], np.uint8), ([257], np.uint16)):
+        tables, _ = reps._dual_automorphism_tables(AbelianGroupSpec.from_factors(factors))
+        assert tables.dtype == dtype
+
+
 def test_capped_closure_keeps_the_scalings_and_swaps(monkeypatch):
     monkeypatch.setattr(reps, "AUT_ENUM_CAP", 10)
     for factors in ([2, 2], [3, 3], [2, 4, 4]):

@@ -12,10 +12,9 @@ from cubicsym.cyclo import CycNum, modular_embedding, zeta
 from cubicsym.forms import Form, apply, evaluate, monomials
 from cubicsym.groebner import buchberger, pure_power_coverage
 from cubicsym.reps import AbelianGroupSpec, enumerate_diagonal_reps
-from cubicsym.smooth import (NonSmoothWitness, SmoothResult, _cover_ok, _l38_table,
-                             _smooth_mod_p, _support_non_smooth,
-                             combinatorial_non_smooth, find_partition_cover,
-                             is_smooth, jacobian_generators,
+from cubicsym.smooth import (NonSmoothWitness, SmoothResult, _smooth_mod_p,
+                             _support_non_smooth, _support_table,
+                             combinatorial_non_smooth, is_smooth, jacobian_generators,
                              partition_non_smooth, replay)
 from tests.test_forms import fermat, rand_matrix
 
@@ -48,7 +47,18 @@ def test_six_cubes_in_seven_variables_rejected_by_missing_square():
 
 def test_fermat_triggers_no_condition():
     assert combinatorial_non_smooth(fermat(7)) is None
-    assert find_partition_cover(fermat(7).terms.keys(), 7) is None
+    assert _scan_partition_cover(fermat(7).terms.keys(), 7) is None
+
+
+def _cover_ok(e, labels):
+    # reference: whether the L310 cover labelled 0, 1, 2 for V1, V2, V3 absorbs e
+    c1 = sum(x for x, l in zip(e, labels) if l == 0)
+    if c1 == 0 or c1 == 1:
+        return True
+    if c1 == 2:
+        c3 = sum(x for x, l in zip(e, labels) if l == 2)
+        return c3 == 0
+    return False
 
 
 def _scan_partition_cover(support, m):
@@ -62,32 +72,37 @@ def _scan_partition_cover(support, m):
     return None
 
 
-def test_partition_cover_backtracking_matches_the_scan():
-    # the supports the filter hands to the cover search for the witness groups
+def test_support_scan_rejects_exactly_when_l38_or_a_cover_does():
+    # the witness groups' supports that pass the L38 scan
     cases = []
     for factors in ([8], [12], [2, 2], [2, 4], [2, 6], [2, 2, 2]):
         for rc in enumerate_diagonal_reps(AbelianGroupSpec.from_factors(factors), 7, 3):
             support = rc.invariant_support()
-            if support and _support_non_smooth(support, 7) is None:
+            if support and _oracle_scan(support, 7) is None:
                 cases.append((support, 7))
     assert len(cases) == 93
     # random supports, and random subsets of what a random cover absorbs
     rng = random.Random(71)
-    for m in range(4, 9):
+    for m in range(3, 10):
         monos = monomials(m, 3)
         for _ in range(12):
             cases.append((rng.sample(monos, rng.randrange(1, 2 * m)), m))
             labels = [rng.randrange(3) for _ in range(m)]
             absorbed = [e for e in monos if _cover_ok(e, labels)]
             cases.append(([e for e in absorbed if rng.random() < 0.7], m))
-    found = 0
+    rng = random.Random(38)
+    for m in range(4, 10):
+        monos = monomials(m, 3)
+        cases += [(rng.sample(monos, rng.randrange(1, 3 * m)), m) for _ in range(40)]
+    rejected = Counter()
     for support, m in cases:
-        cover = find_partition_cover(support, m)
-        assert cover == _scan_partition_cover(support, m), (support, m)
-        found += cover is not None
-    assert found > 0
-    assert find_partition_cover([], 3) == ((0, 1, 2), (), ())
-    assert find_partition_cover([], 0) is None
+        w = _support_non_smooth(support, m)
+        oracle = _oracle_scan(support, m) or _scan_partition_cover(support, m)
+        assert (w is None) == (oracle is None), (support, m)
+        if w is not None:
+            rejected[w.kind == "L310"] += 1
+            assert replay(w, Form(m, 3, 1, {e: CycNum.one(1) for e in support})), (w, support)
+    assert rejected[True] > 0 and rejected[False] > 0
 
 
 def _oracle_scan(support, m):
@@ -127,6 +142,28 @@ def _oracle_meets(witness, supp):
     return all(e[d[0]] >= 1 or sum(e[v] for v in d[1:]) >= 2 for e in supp)
 
 
+def _l38_witnesses(m):
+    # reference: every L38 instance, in the order of the written-out scan
+    out = [NonSmoothWitness("L38-i", (i,)) for i in range(m)]
+    out += [NonSmoothWitness("L38-ii", trio) for trio in combinations(range(m), 3)]
+    out += [NonSmoothWitness("L38-iii", pq + rs) for pq in combinations(range(m), 2)
+            for rs in combinations(range(m), 2) if not set(pq) & set(rs)]
+    out += [NonSmoothWitness("L38-iv", (p,) + quad) for p in range(m)
+            for quad in combinations(range(m), 4) if p not in quad]
+    return out
+
+
+def _ideal(w, m):
+    # reference: the (A, B) of a witness that F lies in (x_A) + (x_B)^2
+    d = w.data
+    if w.kind == "L38-i":
+        return (), tuple(v for v in range(m) if v not in d)
+    if w.kind == "L310":
+        return d[1], d[2]
+    k = {"L38-ii": 3, "L38-iii": 2, "L38-iv": 1}[w.kind]
+    return d[:k], d[k:]
+
+
 @cache
 def _absorbed_sets(m):
     """For each labeling with |V1| > |V2|, the monomials its L310 cover absorbs."""
@@ -143,13 +180,36 @@ def test_l38_table_scan_matches_the_written_out_conditions():
     rng = random.Random(38)
     cases = [(s, 7) for s in absorbed]
     cases += [([e for e in s if rng.random() < 0.5], 7) for s in absorbed]
+    monos = monomials(7, 3)
+    cases += [(rng.sample(monos, rng.randrange(1, 21)), 7) for _ in range(40)]
     cases += [([], m) for m in range(4, 9)]
-    for m in range(4, 10):
-        monos = monomials(m, 3)
-        cases += [(rng.sample(monos, rng.randrange(1, 3 * m)), m) for _ in range(40)]
     for support, m in cases:
         assert _support_non_smooth(support, m) == _oracle_scan(support, m), (support, m)
     assert _support_non_smooth([], 5) == NonSmoothWitness("L38-i", (0,))
+    # at seven variables the table is the L38 scan: the same entries in the same order
+    assert list(_support_table(7)[1]) == _l38_witnesses(7)
+
+
+def test_support_table_holds_every_maximal_ideal_condition():
+    counts = {}
+    one = CycNum.one(1)
+    for m in range(3, 10):
+        bit, table = _support_table(m)
+        counts[m] = len(table)
+        # the L38-ii..iv shapes are maximal at m = 7 only; elsewhere they are L310
+        kinds = Counter(w.kind for w in table)
+        assert kinds["L38-i"] == m and (m == 7 or kinds["L310"] == len(table) - m), kinds
+        for w, mask in table.items():
+            a, b = _ideal(w, m)
+            assert 2 * len(a) + len(b) == m - 1 and not set(a) & set(b), w
+            # the monomials outside (x_A) + (x_B)^2, and those the cover (rest, A, B)
+            # does not absorb
+            labels = [1 if v in a else 2 if v in b else 0 for v in range(m)]
+            assert mask == sum(x for e, x in bit.items()
+                               if not any(e[v] for v in a) and sum(e[v] for v in b) < 2), w
+            assert mask == sum(x for e, x in bit.items() if not _cover_ok(e, labels)), w
+            assert replay(w, Form(m, 3, 1, {e: one for e, x in bit.items() if not x & mask}))
+    assert counts == {3: 6, 4: 16, 5: 45, 6: 126, 7: 357, 8: 1016, 9: 2907}
 
 
 def test_replay_reads_the_table_entry_of_each_l38_witness():
@@ -157,8 +217,8 @@ def test_replay_reads_the_table_entry_of_each_l38_witness():
     one = CycNum.one(1)
     for m in (4, 6, 7, 8):
         monos = monomials(m, 3)
-        entries = _l38_table(m)[1]
-        # every kind at every m, though the scan reads only (i) below m = 7
+        entries = _l38_witnesses(m)
+        # every kind at every m, though the scan holds (ii)-(iv) only at m = 7
         assert Counter(w.kind for w in entries) == Counter({
             "L38-i": m, "L38-ii": comb(m, 3), "L38-iii": comb(m, 2) * comb(m - 2, 2),
             "L38-iv": m * comb(m - 1, 4)})
@@ -171,16 +231,21 @@ def test_replay_reads_the_table_entry_of_each_l38_witness():
             for supp in supports:
                 f = Form(m, 3, 1, {e: one for e in supp})
                 assert replay(w, f) == _oracle_meets(w, supp), (w, supp)
-    with pytest.raises(ValueError):
-        replay(NonSmoothWitness("L38-ii", (2, 1, 0)), fermat(7))
+    for kind, data in (("L38-ii", (2, 1, 0)), ("L38-i", (7,)), ("L38-i", (0, 1)),
+                       ("L38-ii", (0, 1, 7)), ("L38-iii", (0, 1, 1, 2)),
+                       ("L38-iii", (0, 1, 2)), ("L38-iv", (0, 4, 3, 2, 1)), ("L38-v", ())):
+        with pytest.raises(ValueError):
+            replay(NonSmoothWitness(kind, data), fermat(7))
 
 
-def test_no_partition_cover_escapes_the_l38_scan_at_seven_variables():
-    # L38 conditions pass from a set to its subsets, so a 7-variable support
-    # that some L310 cover absorbs never reaches the cover search
+def test_no_partition_cover_escapes_the_support_scan():
+    # every set that an L310 cover absorbs lies in a maximal ideal of the table;
+    # at 7 variables the L38 conditions alone catch them all, at 8 they let
+    # 1,008 of 2,727 through
     assert all(_support_non_smooth(s, 7) is not None for s in _absorbed_sets(7))
-    # at 8 variables the cover search rejects supports that the scan lets through
-    assert sum(_support_non_smooth(s, 8) is None for s in _absorbed_sets(8)) == 1008
+    assert len(_absorbed_sets(8)) == 2727
+    assert all(_support_non_smooth(s, 8) is not None for s in _absorbed_sets(8))
+    assert sum(_oracle_scan(s, 8) is None for s in _absorbed_sets(8)) == 1008
 
 
 def test_ideal_membership_conditions():
@@ -200,8 +265,25 @@ def test_partition_filter_examples():
         partition_non_smooth(f, [0, 1], [2], [])  # cover incomplete
     with pytest.raises(ValueError):
         partition_non_smooth(f, [0, 1, 2, 3], [3, 4, 5, 6], [])  # overlap
+    with pytest.raises(ValueError):
+        partition_non_smooth(f, [0, 1, 2], [3, 4, 5], [6])  # |V1| = |V2|
     for cover in ([[0, 1, 3, 4], [2, 5], [6]],):
         assert partition_non_smooth(fermat(7), *cover) is False
+    # the cover absorbs a support iff it lies in (x_V2) + (x_V3)^2
+    rng = random.Random(310)
+    one = CycNum.one(1)
+    for m in range(3, 9):
+        monos = monomials(m, 3)
+        for _ in range(30):
+            labels = [rng.randrange(3) for _ in range(m)]
+            if labels.count(0) <= labels.count(1):
+                continue
+            cover = [[v for v in range(m) if labels[v] == k] for k in range(3)]
+            absorbed = [e for e in monos if _cover_ok(e, labels)]
+            for supp in (absorbed, rng.sample(monos, rng.randrange(1, 2 * m))):
+                f = Form(m, 3, 1, {e: one for e in supp})
+                assert partition_non_smooth(f, *cover) == all(
+                    _cover_ok(e, labels) for e in supp), (cover, supp)
 
 
 def test_singular_binary_cube_in_three_variables():
