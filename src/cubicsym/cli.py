@@ -237,14 +237,16 @@ def job_rank(form: str, order: int) -> Outcome:
 
 def job_partition(form: str, group: str | None = None) -> Outcome:
     f = _read_form(form)
+    gens = _read_group(group).generators if group else ()
+    if any(gen.dim != f.nvars for gen in gens):
+        raise ValueError("group dimension does not match the form's variable count")
     report = support_partition(f.terms.keys(), f.nvars)
     lines = [f"blocks {report.blocks} residual {report.residual} "
              f"certified-by {report.certified_by}"]
-    if group:
-        for k, gen in enumerate(_read_group(group).generators):
-            tag = eigen_partition_witness(gen) if gen.dim == 7 else None
-            if tag:
-                lines.append(f"generator {k}: eigenvalue partition witness {tag}")
+    for k, gen in enumerate(gens):
+        tag = eigen_partition_witness(gen) if gen.dim == 7 else None
+        if tag:
+            lines.append(f"generator {k}: eigenvalue partition witness {tag}")
     return Outcome("PASS", None, tuple(lines))
 
 

@@ -358,72 +358,35 @@ class CycMatrix:
         return f"CycMatrix(dim={self.dim}, N={self.conductor})"
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict[tuple[int, ...], CycNum] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = c1 * c2
-            if e in out:
-                out[e] = out[e] + c
-            else:
-                out[e] = c
-    return {e: c for e, c in out.items() if not c.is_zero()}
-
-
 def apply(a: CycMatrix, f: Form) -> Form:
-    """The action A(F) = F(x A^T): substitute row k of A for variable k."""
+    """The action A(F) = F(x A^T): substitute row k of A for variable k.
+
+    F = sum_k x_k F_k, with F_k the terms whose first variable is k less one
+    x_k, so A(F) = sum_k L_k A(F_k), L_k the linear form of row k; a degree-0
+    form is its own image.  Each node of the prefix tree of F's monomials
+    multiplies its linear form once against the image of its subtree."""
     if a.dim != f.nvars:
         raise ValueError("matrix dimension does not match variable count")
     n = common_conductor(a.conductor, f.conductor)
     a, f = a.lift(n), f.lift(n)
-    m, d = f.nvars, f.degree
-    zero = CycNum.zero(n)
-    out: dict[tuple[int, ...], CycNum] = {}
-    if a.is_semi_permutation():
-        col = [0] * m
-        val = [zero] * m
-        for k in range(m):
-            j = next(j for j in range(m) if not a.rows[k][j].is_zero())
-            col[k], val[k] = j, a.rows[k][j]
-        pows = [[CycNum.one(n)] for _ in range(m)]
-        for e, c in f.terms.items():
-            new_e = [0] * m
-            factor = c
-            for k in range(m):
-                if e[k]:
-                    new_e[col[k]] += e[k]
-                    pk = pows[k]
-                    while len(pk) <= e[k]:
-                        pk.append(pk[-1] * val[k])
-                    factor = factor * pk[e[k]]
-            key = tuple(new_e)
-            out[key] = out[key] + factor if key in out else factor
-    else:
-        unit = {tuple(0 for _ in range(m)): CycNum.one(n)}
-        linear = []
-        for k in range(m):
-            lf = {}
-            for j in range(m):
-                c = a.rows[k][j]
-                if not c.is_zero():
-                    e = [0] * m
-                    e[j] = 1
-                    lf[tuple(e)] = c
-            linear.append(lf)
-        pows: list[list[dict]] = [[unit] for _ in range(m)]
-        for e, c in f.terms.items():
-            prod = unit
-            for k in range(m):
-                if e[k]:
-                    pk = pows[k]
-                    while len(pk) <= e[k]:
-                        pk.append(_poly_mul(pk[-1], linear[k]))
-                    prod = _poly_mul(prod, pk[e[k]])
-            for ee, cc in prod.items():
-                v = cc * c
-                out[ee] = out[ee] + v if ee in out else v
-    return Form(m, d, n, out)
+    linear = [[(j, c) for j, c in enumerate(row) if not c.is_zero()] for row in a.rows]
+
+    def image(terms: dict, d: int) -> dict:
+        if d == 0:
+            return terms
+        heads: dict[int, dict] = {}
+        for e, c in terms.items():
+            k = next(k for k, x in enumerate(e) if x)
+            heads.setdefault(k, {})[e[:k] + (e[k] - 1,) + e[k + 1:]] = c
+        out: dict[tuple[int, ...], CycNum] = {}
+        for k, sub in heads.items():
+            for e, c in image(sub, d - 1).items():
+                for j, akj in linear[k]:
+                    ee = e[:j] + (e[j] + 1,) + e[j + 1:]
+                    out[ee] = out[ee] + c * akj if ee in out else c * akj
+        return out
+
+    return Form(f.nvars, f.degree, n, image(f.terms, f.degree))
 
 
 def semi_invariance_factor(a: CycMatrix, f: Form) -> CycNum | None:

@@ -130,6 +130,8 @@ def closure(gens: Sequence[CycMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
     [[1, p], [0, 1]], which closes to the identity alone.
     """
     import numpy as np
+    if cap < 1:
+        raise ValueError(f"the cap must be at least 1, got {cap}")
     group = MatGroup(gens)
     for g in group.generators:
         if g.det().is_zero():

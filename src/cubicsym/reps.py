@@ -331,6 +331,12 @@ def _canonical_block(cols: list[np.ndarray], tables: np.ndarray) -> list[np.ndar
     return [c[keep] for c in cols]
 
 
+def _require_shape(m: int, d: int) -> None:
+    # level 0 of the generation is its one empty row, which is no class
+    if m < 1 or d < 1:
+        raise ValueError(f"need at least one variable and degree at least 1, got {m} and {d}")
+
+
 def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int) -> tuple[np.ndarray, bool]:
     """Orderly generation of canonical column-multiset rows (indices into the
     dual-group element list); a candidate survives only when no transform gives
@@ -443,6 +449,7 @@ def enumerate_diagonal_reps(spec: AbelianGroupSpec, m: int, d: int) -> list[RepC
     classify(), which keeps the bulk of the work vectorized.
     """
     import numpy as np
+    _require_shape(m, d)
     rows, complete = _canonical_rows(spec, m, d)
     valid = _valid_mask(rows, spec)
     count = int(np.count_nonzero(valid))
@@ -609,6 +616,7 @@ def classify(spec: AbelianGroupSpec, m: int, d: int) -> ClassificationReport:
     """
     import numpy as np
     _require_cubic(d)
+    _require_shape(m, d)
     rows, complete = _canonical_rows(spec, m, d)
     valid = _valid_mask(rows, spec)
     total = int(np.count_nonzero(valid))

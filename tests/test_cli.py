@@ -111,6 +111,12 @@ def test_reps_filter_rejects_non_cubic_degree(tmp_path):
     # plain enumeration has no cubic-only step
     r = run_cli(["reps", "--abelian", "2", "--vars", "4", "--degree", "4"])
     assert r.returncode == 0 and r.stdout.startswith("classes ")
+    # but it needs a variable and a positive degree, with or without --filter
+    for shape in (["--degree", "0"], ["--degree", "-1"], ["--vars", "0"], ["--vars", "-3"],
+                  ["--vars", "0", "--filter"]):
+        r = run_cli(["reps", "--abelian", "2", *shape])
+        assert r.returncode == 2 and r.stdout == "", shape
+        assert "at least one variable" in r.stderr, shape
 
 
 def test_example_verify_exit_codes():
@@ -251,6 +257,28 @@ def test_order_rejects_an_infinite_group(tmp_path, exported, capsys):
     assert capsys.readouterr().out == ""
     assert main(["order", "--group", str(exported / "x20.group")]) == 0
     assert capsys.readouterr().out.startswith("order 301 ")
+
+
+def test_order_rejects_a_cap_below_one(tmp_path, capsys):
+    from cubicsym.forms import CycMatrix
+    from cubicsym.groups import MatGroup
+
+    path = tmp_path / "trivial.group"
+    path.write_text(MatGroup([CycMatrix.identity(2)]).encode())
+    for cap in ("0", "-7"):
+        assert main(["order", "--group", str(path), "--cap", cap]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["order", "--group", str(path), "--cap", "1"]) == 0
+    assert capsys.readouterr().out.startswith("order 1 ")
+
+
+def test_partition_checks_the_group_dimension(exported, capsys):
+    # a 6-variable form against a 7-dimensional group
+    x5pf, x20f, x20g = (str(exported / name) for name in ("x5p.form", "x20.form", "x20.group"))
+    assert main(["partition", "--form", x5pf, "--group", x20g]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["partition", "--form", x20f, "--group", x20g]) == 0
+    assert capsys.readouterr().out.startswith("blocks ")
 
 
 def test_example_verify_closure_follows_the_cap(monkeypatch, capsys):

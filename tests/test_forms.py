@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cubicsym.cyclo import CycNum, zeta
+from cubicsym import corpus
+from cubicsym.cyclo import CycNum, common_conductor, zeta
 from cubicsym.forms import (CycMatrix, Form, apply, evaluate, hat,
                             monomials, partial, semi_invariance_factor, unhat)
 
@@ -71,6 +72,115 @@ def test_apply_identity_and_dimension_mismatch():
     assert apply(CycMatrix.identity(7), f) == f
     with pytest.raises(ValueError):
         apply(CycMatrix.identity(6), f)
+
+
+def _poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            if e in out:
+                out[e] = out[e] + c
+            else:
+                out[e] = c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _apply_oracle(a, f):
+    # reference: the two-branch action the prefix-tree recursion replaced.  A
+    # semi-permutation matrix moves and scales each monomial; any other matrix
+    # expands the product of the powers of its linear forms per monomial.
+    n = common_conductor(a.conductor, f.conductor)
+    a, f = a.lift(n), f.lift(n)
+    m, d = f.nvars, f.degree
+    zero = CycNum.zero(n)
+    out = {}
+    if a.is_semi_permutation():
+        col = [0] * m
+        val = [zero] * m
+        for k in range(m):
+            j = next(j for j in range(m) if not a.rows[k][j].is_zero())
+            col[k], val[k] = j, a.rows[k][j]
+        pows = [[CycNum.one(n)] for _ in range(m)]
+        for e, c in f.terms.items():
+            new_e = [0] * m
+            factor = c
+            for k in range(m):
+                if e[k]:
+                    new_e[col[k]] += e[k]
+                    pk = pows[k]
+                    while len(pk) <= e[k]:
+                        pk.append(pk[-1] * val[k])
+                    factor = factor * pk[e[k]]
+            key = tuple(new_e)
+            out[key] = out[key] + factor if key in out else factor
+    else:
+        unit = {tuple(0 for _ in range(m)): CycNum.one(n)}
+        linear = []
+        for k in range(m):
+            lf = {}
+            for j in range(m):
+                c = a.rows[k][j]
+                if not c.is_zero():
+                    e = [0] * m
+                    e[j] = 1
+                    lf[tuple(e)] = c
+            linear.append(lf)
+        pows = [[unit] for _ in range(m)]
+        for e, c in f.terms.items():
+            prod = unit
+            for k in range(m):
+                if e[k]:
+                    pk = pows[k]
+                    while len(pk) <= e[k]:
+                        pk.append(_poly_mul(pk[-1], linear[k]))
+                    prod = _poly_mul(prod, pk[e[k]])
+            for ee, cc in prod.items():
+                v = cc * c
+                out[ee] = out[ee] + v if ee in out else v
+    return Form(m, d, n, out)
+
+
+def _rand_num(rng, n, zero_share=0.0):
+    if rng.random() < zero_share:
+        return CycNum.zero(n)
+    while True:
+        c = CycNum.from_vector(n, [rng.choice((-2, -1, 0, 0, 0, 1, 2))
+                                   for _ in range(len(zeta(n).num))])
+        if not c.is_zero():
+            return c
+
+
+def _rand_form(rng, m, d, n):
+    terms = {e: _rand_num(rng, n) for e in monomials(m, d) if rng.random() < 0.6}
+    return Form(m, d, n, terms)
+
+
+def test_apply_matches_the_two_branch_oracle_on_the_corpus():
+    pairs = [(g, corpus.record(rid).form) for rid in corpus.all_ids()
+             for g in corpus.record(rid).generators]
+    assert len(pairs) == 125
+    for g, f in pairs:
+        assert apply(g, f) == _apply_oracle(g, f)
+
+
+def test_apply_matches_the_two_branch_oracle_on_random_matrices():
+    rng = random.Random(24)
+    for n in (1, 12, 48):
+        for d in range(5):
+            for m in (1, 2, 3, 4):
+                perm = list(range(m))
+                rng.shuffle(perm)
+                diag = [_rand_num(rng, n) for _ in range(m)]
+                dense = CycMatrix([[_rand_num(rng, n, 0.3) for _ in range(m)]
+                                   for _ in range(m)], n)
+                for a in (dense, CycMatrix.diagonal(diag),
+                          CycMatrix.permutation(perm, n) * CycMatrix.diagonal(diag)):
+                    f = _rand_form(rng, m, d, n)
+                    assert apply(a, f) == _apply_oracle(a, f)
+                    zero = Form(m, d, n, {})
+                    assert apply(a, zero) == _apply_oracle(a, zero) == zero
 
 
 def test_contravariance_500_random_triples():

@@ -49,6 +49,14 @@ def test_cap_exceeded_carries_partial_count():
     assert ex.value.count > 50
 
 
+def test_closure_rejects_a_cap_below_one():
+    ident = CycMatrix.identity(2)
+    for cap in (0, -7):
+        with pytest.raises(ValueError, match="cap"):
+            closure([ident], cap=cap)
+    assert closure([ident], cap=1).order == 1
+
+
 def _exact_closure(gens, cap):
     # reference: the breadth-first closure that hashes every exact product
     group = MatGroup(gens)
