@@ -157,6 +157,8 @@ def runs_closure(rec: corpus.ExampleRecord, cap: int) -> bool:
 
 def job_verify(id: str, cap: int = VERIFY_CAP) -> Outcome:
     """Check a corpus record against its recorded expectations."""
+    if cap < 1:
+        raise ValueError(f"the cap must be at least 1, got {cap}")
     rec = corpus.record(id)
     checks = []  # (name, status, detail)
 
@@ -217,7 +219,7 @@ def job_export(id: str, dir: str) -> Outcome:
     rec = corpus.record(id)
     out = Path(dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = id.replace("'", "p").lower()
+    stem = corpus.stem(id)
     (out / f"{stem}.form").write_text(rec.form.encode())
     if rec.generators:
         (out / f"{stem}.group").write_text(MatGroup(rec.generators).encode())

@@ -307,6 +307,7 @@ class CycNum:
         return " ".join([str(self.conductor), str(self.den)] + [str(c) for c in self.num])
 
     @staticmethod
+    @lru_cache(maxsize=4096)  # a corpus file repeats few coefficients many times
     def parse(text: str) -> "CycNum":
         parts = text.split()
         if len(parts) < 2:

@@ -56,6 +56,8 @@ class AbelianGroupSpec:
                 p += 1
             if n > 1:
                 primary.setdefault(n, []).append(n)
+        if not primary:
+            raise ValueError("need at least one factor")
         depth = max(len(v) for v in primary.values())
         chain = []
         for slot in range(depth):

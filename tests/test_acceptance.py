@@ -5,8 +5,8 @@ import time
 
 from cubicsym import corpus
 from cubicsym.cyclo import CycNum, multiplicative_order, zeta
-from cubicsym.forms import CycMatrix, fixes, hat
-from cubicsym.groups import closure, scalar_subgroup
+from cubicsym.forms import CycMatrix, Form, fixes, hat
+from cubicsym.groups import MatGroup, closure, scalar_subgroup
 from cubicsym.diffrank import eigen_partition_witness, support_partition
 from cubicsym.invariants import (covering_lift, invariant_forms, is_symplectic,
                                  symplectic_order)
@@ -134,7 +134,8 @@ def test_acceptance_5_symplectic_regressions():
     g5 = closure(rec.generators)
     assert symplectic_order(g5, rec.form) == 1
     # the A7 fourfold generators are symplectic with det = lambda^2 = 1
-    form_a7, gens_a7 = corpus.a7_fourfold()
+    form_a7 = Form.parse((corpus.DATA / "a7.form").read_text())
+    gens_a7 = MatGroup.parse((corpus.DATA / "a7.group").read_text()).generators
     for g in gens_a7:
         assert g.det().is_one()
         assert is_symplectic(g, form_a7) is True

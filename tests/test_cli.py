@@ -117,6 +117,27 @@ def test_reps_filter_rejects_non_cubic_degree(tmp_path):
         r = run_cli(["reps", "--abelian", "2", *shape])
         assert r.returncode == 2 and r.stdout == "", shape
         assert "at least one variable" in r.stderr, shape
+    # and a group needs at least one factor
+    for abelian in ("", ","):
+        r = run_cli(["reps", "--abelian", abelian])
+        assert r.returncode == 2 and r.stdout == "", abelian
+        assert "at least one factor" in r.stderr, abelian
+
+
+def test_export_writes_the_shipped_files(tmp_path, capsys):
+    # the loader round trip: every record exports to the bytes it was read from
+    import importlib.resources as res
+
+    from cubicsym import corpus
+
+    data = res.files("cubicsym") / "data" / "examples"
+    for rid in corpus.all_ids():
+        assert main(["example", "export", rid, "--dir", str(tmp_path)]) == 0
+    written = sorted(tmp_path.iterdir())
+    assert len(written) == 68
+    for path in written:
+        assert path.read_bytes() == (data / path.name).read_bytes(), path.name
+    capsys.readouterr()
 
 
 def test_example_verify_exit_codes():
@@ -267,6 +288,9 @@ def test_order_rejects_a_cap_below_one(tmp_path, capsys):
     path.write_text(MatGroup([CycMatrix.identity(2)]).encode())
     for cap in ("0", "-7"):
         assert main(["order", "--group", str(path), "--cap", cap]) == 2
+        assert main(["example", "verify", "X20", "--cap", cap]) == 2
+        out = _run_task({"task": "verify", "id": "X20", "cap": int(cap)})
+        assert out["status"] == "ERROR" and "cap" in out["result"]
     assert capsys.readouterr().out == ""
     assert main(["order", "--group", str(path), "--cap", "1"]) == 0
     assert capsys.readouterr().out.startswith("order 1 ")
@@ -303,7 +327,9 @@ def test_numpy_loads_only_for_the_jobs_that_use_it():
     code = """
 import sys
 from cubicsym import cli, corpus, smooth
-records = [corpus.record(rid) for rid in corpus.all_ids()]
+ids = corpus.all_ids()
+assert corpus.record.cache_info().currsize == 0  # no file is parsed before use
+records = [corpus.record(rid) for rid in ids]
 assert len(records) == 35, len(records)
 assert "numpy" not in sys.modules
 assert smooth._support_table.cache_info().currsize == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cubicsym import corpus
@@ -6,6 +8,7 @@ from cubicsym.forms import Form, fixes, hat
 from cubicsym.groups import MatGroup, closure, projective_order
 from cubicsym.invariants import symplectic_order
 from cubicsym.smooth import is_smooth
+from tests import corpus_oracle
 
 ENUMERABLE_ORDERS = {
     "X3": 1296, "X5": 288, "X6": 990, "X8": 864, "X10": 96, "X11": 378,
@@ -122,16 +125,47 @@ def test_klein_elements_all_fix_the_form():
 
 
 def test_shipped_data_files_round_trip():
+    # every file under data/examples is what the builders print, and every file
+    # the builders print is shipped: none is missing and none is left over
     import importlib.resources as res
 
     data = res.files("cubicsym") / "data" / "examples"
-    for rid in ("X20", "X15'", "X17"):
-        stem = rid.replace("'", "p").lower()
-        rec = corpus.record(rid)
-        form = Form.parse((data / f"{stem}.form").read_text())
-        assert form == rec.form.lift(form.conductor)
-        grp = MatGroup.parse((data / f"{stem}.group").read_text())
-        assert grp.generators == tuple(g.lift(grp.conductor) for g in rec.generators)
-    a7f = Form.parse((data / "a7.form").read_text())
-    form, gens = corpus.a7_fourfold()
-    assert a7f == form.lift(a7f.conductor)
+    shipped = {p.name: p.read_text() for p in data.iterdir()}
+    built = corpus_oracle.shipped_files()
+    assert sorted(shipped) == sorted(built)
+    for name, text in built.items():
+        assert shipped[name] == text, name
+
+
+def test_records_equal_the_builders():
+    # the table's orders, flags and notes, and the parsed form and generators
+    built = corpus_oracle.records()
+    assert list(built) == corpus.all_ids()
+    for rid, rec in built.items():
+        gens = MatGroup(rec.generators).generators if rec.generators else ()
+        assert corpus.record(rid) == replace(rec, generators=gens), rid
+
+
+def test_every_record_file_is_packaged(monkeypatch):
+    # the program reads its corpus from these files, so an install must ship them
+    tomllib = pytest.importorskip("tomllib")
+    from fnmatch import fnmatch
+    from pathlib import Path
+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["cubicsym"]
+    package = Path(corpus.__file__).parent
+    opened = []
+    read_text = Path.read_text
+
+    def spy(path, *args, **kwargs):
+        opened.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", spy)
+    corpus.record.cache_clear()
+    records = [corpus.record(rid) for rid in corpus.all_ids()]
+    assert len(opened) == len(records) + sum(1 for rec in records if rec.generators)
+    for path in opened:
+        name = path.relative_to(package).as_posix()
+        assert any(fnmatch(name, glob) for glob in globs), name

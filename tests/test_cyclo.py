@@ -10,6 +10,7 @@ from cubicsym import corpus
 from cubicsym.cyclo import (MODULAR_PRIME_BOUND, CycNum, common_conductor, context,
                             cyclotomic_polynomial, divisors, modular_embedding,
                             multiplicative_order, reduce, zeta)
+from tests import corpus_oracle
 
 CONDUCTORS = (3, 4, 8, 12, 24, 43)
 
@@ -147,9 +148,10 @@ def inv_oracle(x):
 
 
 def corpus_conductors():
+    # what the program reads (one conductor per group) and what the builders
+    # print (one per generator)
     out = set()
-    for rid in corpus.all_ids():
-        r = corpus.record(rid)
+    for r in [*map(corpus.record, corpus.all_ids()), *corpus_oracle.records().values()]:
         out |= {g.conductor for g in r.generators} | {r.form.conductor}
     return out
 

@@ -6,7 +6,7 @@ from cubicsym import corpus
 from cubicsym.cyclo import CycNum, common_conductor, multiplicative_order, zeta
 from cubicsym.forms import (CycMatrix, Form, apply, fixes, hat, monomials,
                             semi_invariance_factor)
-from cubicsym.groups import closure, projective_classes
+from cubicsym.groups import MatGroup, closure, projective_classes
 from cubicsym.invariants import (covering_lift, f_lifting_exists,
                                  invariant_forms, is_symplectic,
                                  reynolds_average, symplectic_character,
@@ -104,7 +104,8 @@ def test_symplectic_examples():
     assert multiplicative_order(a5.det()) == 48
     assert is_symplectic(a5, f5p) is False
     assert is_symplectic(CycMatrix.identity(6), f5p) is True
-    form_a7, gens_a7 = corpus.a7_fourfold()
+    form_a7 = Form.parse((corpus.DATA / "a7.form").read_text())
+    gens_a7 = MatGroup.parse((corpus.DATA / "a7.group").read_text()).generators
     for g in gens_a7:
         assert g.det().is_one()
         assert is_symplectic(g, form_a7) is True
@@ -130,7 +131,7 @@ def test_symplectic_is_conjugation_invariant():
 
 
 def test_m10_determinant_checks():
-    a = corpus.m10_printed_diagonal()
+    a = CycMatrix.parse((corpus.DATA / "m10_diag.matrix").read_text())
     assert a.det().is_one()
     assert a.order() == 8
 
