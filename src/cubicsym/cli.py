@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import corpus
 from .forms import CycMatrix, Form, fixes
-from .diffrank import eigen_partition_witness, rank_d, support_partition
 from .groups import CapExceeded, DEFAULT_CAP, MatGroup, closure, projective_order, scalar_subgroup
 from .invariants import (_factor_and_character, covering_lift, invariant_forms,
                          symplectic_order)
@@ -233,11 +232,13 @@ def job_example(action: str, **inputs) -> Outcome:
 
 
 def job_rank(form: str, order: int) -> Outcome:
+    from .diffrank import rank_d
     r = rank_d(_read_form(form), order)
     return Outcome("PASS", r, (str(r),))
 
 
 def job_partition(form: str, group: str | None = None) -> Outcome:
+    from .diffrank import eigen_partition_witness, support_partition
     f = _read_form(form)
     gens = _read_group(group).generators if group else ()
     if any(gen.dim != f.nvars for gen in gens):

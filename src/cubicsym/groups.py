@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclo import CycNum, common_conductor, modular_embedding
-from .diffrank import eigen_partition_witness, eigenvalue_multiset
+from .cyclo import common_conductor, modular_embedding
 from .forms import CycMatrix
 
 DEFAULT_CAP = 300_000
@@ -183,27 +182,6 @@ def is_semi_permutation(group: MatGroup) -> bool:
     """Products of semi-permutation matrices stay semi-permutation, so the
     generators decide."""
     return all(g.is_semi_permutation() for g in group.generators)
-
-
-def is_abelian(group: MatGroup) -> bool:
-    gens = group.generators
-    return all(gens[i] * gens[j] == gens[j] * gens[i]
-               for i in range(len(gens)) for j in range(i + 1, len(gens)))
-
-
-def eigen_multisets(group: MatGroup, cap: int = 10_000) -> list[dict[CycNum, int]]:
-    if not group.materialized():
-        raise ValueError("group not materialized")
-    return [eigenvalue_multiset(a, cap) for a in group.elements]
-
-
-def is_special(group: MatGroup, cap: int = 10_000) -> bool:
-    """No element carries one of the two forbidden cube-root eigenvalue shapes."""
-    if group.dimension != 7:
-        raise ValueError("special representations are defined for dimension 7")
-    if not group.materialized():
-        raise ValueError("group not materialized")
-    return all(eigen_partition_witness(a, cap) is None for a in group.elements)
 
 
 def projective_classes(group: MatGroup) -> list[list[CycMatrix]]:

@@ -8,7 +8,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .cyclo import CycNum, common_conductor, multiplicative_order, zeta
-from .forms import CycMatrix, Form, apply, hat, monomials, semi_invariance_factor
+from .forms import CycMatrix, Form, apply, monomials, semi_invariance_factor
 from .groups import MatGroup, projective_order
 from .linalg import nullspace
 
@@ -59,19 +59,6 @@ def invariant_forms(gens: Sequence[CycMatrix], degree: int) -> InvariantSpace:
         forms.append(Form(m, degree, n, terms))
     forms.sort(key=lambda f: min(index[e] for e in f.terms))
     return InvariantSpace(m, degree, n, tuple(forms))
-
-
-def reynolds_average(group: MatGroup, f: Form) -> Form:
-    """Group average (1/|G|) sum_A A(F); projects onto the invariant space."""
-    if not group.materialized():
-        raise ValueError("group not materialized")
-    from fractions import Fraction
-
-    n = common_conductor(group.conductor, f.conductor)
-    total = Form(f.nvars, f.degree, n, {})
-    for a in group.elements:
-        total = total + apply(a, f)
-    return total.scale(Fraction(1, group.order))
 
 
 def _factor_and_character(a: CycMatrix, f: Form) -> tuple[CycNum, CycNum]:

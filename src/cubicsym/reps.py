@@ -287,7 +287,7 @@ def _combined_tables(spec: AbelianGroupSpec, d: int) -> tuple[np.ndarray, bool]:
     return shift_tabs[:, auts].swapaxes(0, 1).reshape(-1, spec.order), complete
 
 
-_BLOCK = 1 << 16  # rows per block: a block's byte columns stay in cache
+_BLOCK = 1 << 16  # rows, (table, parent) cells or mask words per pass: a pass stays in cache
 
 
 def _blocks(n: int):
@@ -308,29 +308,91 @@ def _sort_columns(cols: list[np.ndarray]) -> None:
             cols[i] = lo
 
 
-def _canonical_block(cols: list[np.ndarray], tables: np.ndarray) -> list[np.ndarray]:
-    """The candidates (sorted rows held column-wise) whose sorted image under
-    no table is lexicographically smaller."""
+def _rejection_masks(tabs: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each table t over n elements, bit sets over c in `words` uint64
+    words: row v <= n holds {c : t(c) < v}, row n + 1 holds {c : t(c) < c}.
+    Also the inverse tables, padded with two zero columns."""
     import numpy as np
-    index = [c.astype(np.intp) for c in cols]  # numpy gathers fastest by intp
-    alive = np.ones(cols[0].size, dtype=bool)
-    for t in tables:
-        img = [t[c] for c in index]
-        _sort_columns(img)
-        lt = img[0] < cols[0]
-        eq = img[0] == cols[0]
-        for q, b in zip(img[1:], cols[1:]):
-            lt |= eq & (q < b)
-            eq &= q == b
-        alive &= ~lt
-        if np.count_nonzero(alive) < 0.75 * alive.size:
-            # compacting costs about one table pass: wait for a quarter to die
-            keep = np.flatnonzero(alive)
-            cols = [c[keep] for c in cols]
-            index = [c[keep] for c in index]
-            alive = np.ones(keep.size, dtype=bool)
-    keep = np.flatnonzero(alive)
-    return [c[keep] for c in cols]
+    count, n = tabs.shape
+    rows = np.arange(count)[:, None]
+    inverse = np.zeros((count, n + 2), dtype=tabs.dtype)
+    inverse[rows, tabs] = np.arange(n, dtype=tabs.dtype)
+    inv = inverse[:, :n].astype(np.intp)
+    masks = np.zeros((count, n + 2, words), dtype="<u8")
+    # bit c of row v + 1 is set for c = t^-1(v); the running OR gives row v + 1
+    masks[rows, np.arange(1, n + 1), inv >> 6] = np.uint64(1) << (inv & 63).astype(np.uint64)
+    masks = np.bitwise_or.accumulate(masks, axis=1)
+    below = np.zeros((count, 64 * words), dtype=bool)
+    below[:, :n] = tabs < np.arange(n)
+    masks[:, n + 1] = np.packbits(below, axis=1, bitorder="little").view("<u8")
+    return masks, inverse
+
+
+def _rejected_children(parents: np.ndarray, images: np.ndarray, masks: np.ndarray,
+                       inverse: np.ndarray) -> np.ndarray:
+    """The children c whose row parent + [c] some table rejects, as one bit
+    set per parent (a row of parents); images[x] holds every table's image
+    of x.  The parents are canonical, so S = sort(t(parent)) >= parent; let
+    i0 be the first index where they differ and v = parent[i0].  Table t
+    rejects the child exactly when S = parent and t(c) < c; or t(c) < v; or
+    t(c) = v and S[i0..k-1] is below parent[i0+1..k-1] + [c].  The last case
+    holds for the one c = t^-1(v) or for none, so the rejected set is
+    {c : t(c) < v} or {c : t(c) < v + 1}: one mask row per (parent, table)."""
+    import numpy as np
+    count, k = parents.shape
+    n = masks.shape[1] - 2
+    cols = list(parents.T)
+    img = [images[c.astype(np.intp)] for c in cols]  # S, one (parent, table) array per column
+    _sort_columns(img)
+    shape = img[0].shape if k else (count, images.shape[1])
+    # v starts at parent[0] and steps to parent[j + 1] while S[0..j] = parent[0..j];
+    # row n + 1 (the mask of t(c) < c) stands after parent[k-1], where S = parent
+    heads = np.concatenate([parents, np.full((count, 1), n + 1)], axis=1).astype(np.uint16)
+    steps = np.diff(heads, axis=1)
+    v = np.repeat(heads[:, :1], shape[1], axis=1)
+    same = np.ones(shape, dtype=bool)  # S[0..j] = parent[0..j]
+    open_ = np.ones(shape, dtype=bool)  # S[i0..j] = parent[i0+1..j+1] so far
+    below = np.zeros(shape, dtype=bool)  # S[i0..] < parent[i0+1..]
+    for j, col in enumerate(cols):
+        same &= img[j] == col[:, None]
+        v += same * steps[:, j:j + 1]
+        if j + 1 < k:
+            nxt = cols[j + 1][:, None]
+            decided = np.greater(img[j] != nxt, same)
+            below |= open_ & decided & (img[j] < nxt)
+            np.greater(open_, decided, out=open_)
+    at = v + np.arange(shape[1]) * (n + 2)
+    if k:  # where S = parent, v = n + 1 reads a zero pad: 0 > S[k-1] fails
+        below |= open_ & (inverse.ravel()[at] > img[-1])
+    at += below
+    return np.bitwise_or.reduce(masks.reshape(-1, masks.shape[2])[at], axis=1)
+
+
+def _listed_children(cols: list[np.ndarray], rejected: np.ndarray, order: int, dtype) -> np.ndarray:
+    """The rows parent + [c], c >= last(parent) not rejected, parent by
+    parent with c ascending, as a transposed view of one buffer row per
+    column."""
+    import numpy as np
+    lasts = cols[-1] if cols else np.zeros(1, dtype=dtype)
+    c = np.arange(order, dtype=dtype)
+    step = max(1, _BLOCK // order)
+
+    def kept(p: int) -> np.ndarray:
+        bits = np.unpackbits(rejected[p:p + step].view(np.uint8), axis=1, count=order,
+                             bitorder="little")
+        return (bits == 0) & (c >= lasts[p:p + step, None])
+    parts = range(0, rejected.shape[0], step)
+    buf = np.empty((len(cols) + 1, sum(np.count_nonzero(kept(p)) for p in parts)), dtype=dtype)
+    n = 0
+    for p in parts:
+        keep = kept(p)
+        counts = np.count_nonzero(keep, axis=1)
+        size = int(counts.sum())
+        for row, col in zip(buf, cols):
+            row[n:n + size] = np.repeat(col[p:p + step], counts)
+        buf[-1, n:n + size] = np.broadcast_to(c, keep.shape)[keep]
+        n += size
+    return buf.T
 
 
 def _require_shape(m: int, d: int) -> None:
@@ -341,12 +403,11 @@ def _require_shape(m: int, d: int) -> None:
 
 def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int) -> tuple[np.ndarray, bool]:
     """Orderly generation of canonical column-multiset rows (indices into the
-    dual-group element list); a candidate survives only when no transform gives
-    a strictly smaller sorted row.  Each level is extended one block of whole
-    parents at a time, at most _BLOCK candidates unless one parent has more.
-    The survivors go into one buffer row per column, sized for the level's
-    candidates, so the unwritten tail never becomes resident; the rows are a
-    transposed view of the last buffer."""
+    dual-group element list); a row survives only when no transform gives a
+    strictly smaller sorted row.  Its parent is canonical, so each table's
+    verdict on all children of one parent is one rule (_rejected_children).
+    A pass takes the tables whose masks fill about _BLOCK words and the
+    parents that make about _BLOCK (table, parent) cells with them."""
     import numpy as np
     order = spec.order
     if order > 60_000:
@@ -354,27 +415,23 @@ def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int) -> tuple[np.ndarray,
     tables, complete = _combined_tables(spec, d)
     dtype = np.uint16 if order > 255 else np.uint8
     tables = tables.astype(dtype)
+    words = -(-order // 64)
+    per_pass = max(1, _BLOCK // ((order + 2) * words))
     rows = np.zeros((1, 0), dtype=dtype)
     for _ in range(m):
-        cols = list(rows.T)  # the parents, one contiguous array per column
-        lasts = cols[-1].astype(np.int64) if cols else np.zeros(1, dtype=np.int64)
-        if lasts.size == 0:
+        count = rows.shape[0]
+        if count == 0:
             break
-        # parent i has the children lasts[i] .. order-1, at positions
-        # bounds[i] .. bounds[i+1]-1: position j holds j + order - bounds[i+1]
-        bounds = np.concatenate(([0], np.cumsum(order - lasts)))
-        buf = np.empty((len(cols) + 1, int(bounds[-1])), dtype=dtype)
-        n = p = 0
-        while p < lasts.size:
-            q = max(p + 1, int(np.searchsorted(bounds, bounds[p] + _BLOCK, "right")) - 1)
-            idx = np.repeat(np.arange(p, q), order - lasts[p:q])
-            newcol = (np.arange(bounds[p], bounds[q]) + order - bounds[idx + 1]).astype(dtype)
-            keep = _canonical_block([c[idx] for c in cols] + [newcol], tables)
-            for row, c in zip(buf, keep):
-                row[n:n + c.size] = c
-            n += keep[0].size
-            p = q
-        rows = buf[:, :n].T
+        cols = list(rows.T)  # the parents, one contiguous array per column
+        rejected = np.zeros((count, words), dtype="<u8")
+        for t in range(0, len(tables), per_pass):
+            tabs = tables[t:t + per_pass]
+            masks, inverse = _rejection_masks(tabs, words)
+            images = tabs.T.copy()
+            step = max(1, _BLOCK // len(tabs))
+            for p in range(0, count, step):
+                rejected[p:p + step] |= _rejected_children(rows[p:p + step], images, masks, inverse)
+        rows = _listed_children(cols, rejected, order, dtype)
     return rows, complete
 
 

@@ -323,7 +323,8 @@ def test_example_verify_closure_follows_the_cap(monkeypatch, capsys):
 def test_numpy_loads_only_for_the_jobs_that_use_it():
     # the corpus and every job but the closure and the enumerator run
     # without numpy, so a cold start does not pay for its import; nor does it
-    # build the support mask tables, which the first smoothness scan builds
+    # build the support mask tables, which the first smoothness scan builds.
+    # Only the rank and partition jobs import diffrank.
     code = """
 import sys
 from cubicsym import cli, corpus, smooth
@@ -332,10 +333,12 @@ assert corpus.record.cache_info().currsize == 0  # no file is parsed before use
 records = [corpus.record(rid) for rid in ids]
 assert len(records) == 35, len(records)
 assert "numpy" not in sys.modules
+assert "cubicsym.diffrank" not in sys.modules
 assert smooth._support_table.cache_info().currsize == 0
 out = cli._run_task({"task": "reps-count", "abelian": "7", "expect": 1})
 assert out["status"] == "PASS", out
 assert "numpy" in sys.modules
+assert "cubicsym.diffrank" not in sys.modules
 """
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        timeout=120)

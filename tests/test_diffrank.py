@@ -5,10 +5,78 @@ import pytest
 from cubicsym.cyclo import CycNum, zeta
 from cubicsym.diffrank import (char_set_member, eigen_partition_witness,
                                eigenvalue_multiset, rank_d, s1_non_empty,
-                               support_partition, transport_map,
-                               verify_block_shape)
+                               support_partition, transport_map)
 from cubicsym.forms import CycMatrix, Form, apply, monomials
+from cubicsym.linalg import rank as sparse_rank
 from tests.test_forms import fermat, rand_cubic, rand_matrix
+
+
+# checks that no job calls, kept here as the tests' own helpers
+
+def span_of_samples(vectors: list) -> int:
+    """Dimension of the span of finitely many sampled characteristic-set
+    witnesses (the infinite span itself has no algorithm; callers sample)."""
+    rows = []
+    for v in vectors:
+        row = {}
+        for i, c in enumerate(v):
+            if not isinstance(c, CycNum):
+                c = CycNum.rational(c)
+            if not c.is_zero():
+                row[i] = c
+        rows.append(row)
+    return sparse_rank(rows)
+
+
+def verify_block_shape(matrices, block_sizes, allow_swap: bool | None = None) -> bool:
+    """Every matrix is block-diagonal of the given consecutive shape; for the
+    (1,3,3) shape the two equal blocks may also be swapped."""
+    mats = list(matrices)
+    if not mats:
+        return True
+    m = mats[0].dim
+    if sum(block_sizes) > m:
+        raise ValueError("block sizes exceed the dimension")
+    sizes = list(block_sizes)
+    if sum(sizes) < m:
+        sizes.append(m - sum(sizes))
+    if allow_swap is None:
+        allow_swap = tuple(sizes) == (1, 3, 3)
+    bounds = []
+    start = 0
+    for s in sizes:
+        bounds.append((start, start + s))
+        start += s
+
+    def block_of(i):
+        for b, (lo, hi) in enumerate(bounds):
+            if lo <= i < hi:
+                return b
+        raise AssertionError
+
+    def fits(mat, pairing):
+        # pairing maps row-block -> allowed column-block
+        for i in range(m):
+            bi = pairing[block_of(i)]
+            lo, hi = bounds[bi]
+            for j in range(m):
+                if not lo <= j < hi and not mat.rows[i][j].is_zero():
+                    return False
+        return True
+
+    ident = list(range(len(sizes)))
+    swapped = None
+    if allow_swap and len(sizes) == 3 and sizes[1] == sizes[2]:
+        swapped = [0, 2, 1]
+    for mat in mats:
+        if mat.dim != m:
+            raise ValueError("mixed dimensions")
+        if fits(mat, ident):
+            continue
+        if swapped is not None and fits(mat, swapped):
+            continue
+        return False
+    return True
 
 
 def form(m, d, *terms, N=1):
@@ -107,7 +175,6 @@ def test_eigen_partition_witness_shapes():
 
 
 def test_span_of_samples():
-    from cubicsym.diffrank import span_of_samples
     r = s1_non_empty(Form.from_terms(3, 3, [(1, (3, 0, 0)), (1, (0, 3, 0)),
                                             (1, (0, 0, 3))], conductor=3))
     assert r.status == "yes"

@@ -5,9 +5,32 @@ import pytest
 from cubicsym import corpus
 from cubicsym.cyclo import CycNum, modular_embedding, zeta
 from cubicsym.forms import CycMatrix, fixes
-from cubicsym.groups import (CapExceeded, MatGroup, closure, eigen_multisets,
-                             is_abelian, is_semi_permutation, is_special,
+from cubicsym.diffrank import eigen_partition_witness, eigenvalue_multiset
+from cubicsym.groups import (CapExceeded, MatGroup, closure, is_semi_permutation,
                              projective_order, scalar_subgroup)
+
+
+# predicates that no job calls, kept here as the tests' own helpers
+
+def is_abelian(group: MatGroup) -> bool:
+    gens = group.generators
+    return all(gens[i] * gens[j] == gens[j] * gens[i]
+               for i in range(len(gens)) for j in range(i + 1, len(gens)))
+
+
+def eigen_multisets(group: MatGroup, cap: int = 10_000) -> list[dict[CycNum, int]]:
+    if not group.materialized():
+        raise ValueError("group not materialized")
+    return [eigenvalue_multiset(a, cap) for a in group.elements]
+
+
+def is_special(group: MatGroup, cap: int = 10_000) -> bool:
+    """No element carries one of the two forbidden cube-root eigenvalue shapes."""
+    if group.dimension != 7:
+        raise ValueError("special representations are defined for dimension 7")
+    if not group.materialized():
+        raise ValueError("group not materialized")
+    return all(eigen_partition_witness(a, cap) is None for a in group.elements)
 
 
 def klein_generators():

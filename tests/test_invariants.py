@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,9 +10,19 @@ from cubicsym.forms import (CycMatrix, Form, apply, fixes, hat, monomials,
 from cubicsym.groups import MatGroup, closure, projective_classes
 from cubicsym.invariants import (covering_lift, f_lifting_exists,
                                  invariant_forms, is_symplectic,
-                                 reynolds_average, symplectic_character,
-                                 symplectic_order)
+                                 symplectic_character, symplectic_order)
 from tests.test_forms import rand_matrix
+
+
+def reynolds_average(group: MatGroup, f: Form) -> Form:
+    """Group average (1/|G|) sum_A A(F); projects onto the invariant space."""
+    if not group.materialized():
+        raise ValueError("group not materialized")
+    n = common_conductor(group.conductor, f.conductor)
+    total = Form(f.nvars, f.degree, n, {})
+    for a in group.elements:
+        total = total + apply(a, f)
+    return total.scale(Fraction(1, group.order))
 
 
 def m96_generators():

@@ -1,8 +1,9 @@
 """The column kernels of the enumerator against reference copies of the row
 kernels they replaced: sort each gathered (N, m) block with np.sort, pack
 every row into uint64 keys, and evaluate the masks with int64 weights.  The
-symmetry tables are checked against the scan over all generator images that
-the closure of elementary automorphisms replaced."""
+per-(parent, table) rule of the generation is checked against the per-child
+pass it replaced, and the symmetry tables against the scan over all
+generator images that the closure of elementary automorphisms replaced."""
 
 import tracemalloc
 from itertools import product
@@ -73,6 +74,48 @@ def _reference_rows(spec, m, d):
             if cand.shape[0] == 0:
                 break
         rows = cand
+    return rows, complete
+
+
+def _per_child_block(cols, tables):
+    """The candidates (sorted rows held column-wise) whose sorted image under
+    no table is lexicographically smaller."""
+    index = [c.astype(np.intp) for c in cols]
+    alive = np.ones(cols[0].size, dtype=bool)
+    for t in tables:
+        img = [t[c] for c in index]
+        _sort_columns(img)
+        lt = img[0] < cols[0]
+        eq = img[0] == cols[0]
+        for q, b in zip(img[1:], cols[1:]):
+            lt |= eq & (q < b)
+            eq &= q == b
+        alive &= ~lt
+        if np.count_nonzero(alive) < 0.75 * alive.size:
+            keep = np.flatnonzero(alive)
+            cols = [c[keep] for c in cols]
+            index = [c[keep] for c in index]
+            alive = np.ones(keep.size, dtype=bool)
+    keep = np.flatnonzero(alive)
+    return [c[keep] for c in cols]
+
+
+def _per_child_rows(spec, m, d):
+    """Orderly generation that gathers every child P + [c], c >= last(P), of
+    a level and compares it against every table."""
+    order = spec.order
+    tables, complete = _combined_tables(spec, d)
+    dtype = np.uint16 if order > 255 else np.uint8
+    tables = tables.astype(dtype)
+    rows = np.zeros((1, 0), dtype=dtype)
+    for _ in range(m):
+        if rows.shape[0] == 0:
+            break
+        lasts = rows[:, -1].astype(np.int64) if rows.shape[1] else np.zeros(1, dtype=np.int64)
+        idx = np.repeat(np.arange(rows.shape[0]), order - lasts)
+        firsts = np.cumsum(order - lasts) - (order - lasts)
+        newcol = (lasts[idx] + np.arange(idx.size) - firsts[idx]).astype(dtype)
+        rows = np.stack(_per_child_block([c[idx] for c in rows.T] + [newcol], tables), axis=1)
     return rows, complete
 
 
@@ -202,6 +245,62 @@ def test_column_kernels_match_the_row_kernels(factors):
         rows = rows[valid]
         _assert_same_array(_bulk_square_mask(rows, spec),
                            _reference_bulk_square_mask(rows, spec))
+
+
+def _assert_same_generation(spec, levels, d=3):
+    for m in levels:
+        rows, complete = _canonical_rows(spec, m, d)
+        want, want_complete = _per_child_rows(spec, m, d)
+        assert complete == want_complete
+        _assert_same_array(rows, want)
+
+
+@pytest.mark.parametrize("factors", GROUPS, ids=lambda f: "x".join(f"C{x}" for x in f))
+def test_parent_rule_matches_the_per_child_pass(factors):
+    _assert_same_generation(AbelianGroupSpec.from_factors(factors), range(1, 8))
+
+
+@pytest.mark.parametrize("d", [2, 6])
+@pytest.mark.parametrize("factors", [[4], [6], [12], [2, 4], [3, 3]],
+                         ids=lambda f: "x".join(f"C{x}" for x in f))
+def test_parent_rule_matches_the_per_child_pass_at_other_degrees(factors, d):
+    _assert_same_generation(AbelianGroupSpec.from_factors(factors), range(1, 7), d)
+
+
+def test_parent_rule_on_two_byte_elements():
+    # 257 elements take five mask words and two bytes each
+    _assert_same_generation(AbelianGroupSpec.from_factors([257]), range(1, 4))
+
+
+@pytest.mark.parametrize("factors", [[2, 2, 2, 2, 2], [3, 3, 3, 3]],
+                         ids=["C2^5", "C3^4"])
+def test_parent_rule_on_capped_table_sets(factors):
+    # the capped tables are no group; the rule needs only that every level
+    # uses the same tables
+    spec = AbelianGroupSpec.from_factors(factors)
+    assert not _combined_tables(spec, 3)[1]
+    _assert_same_generation(spec, range(1, 5))
+
+
+def test_parent_rule_on_many_tables():
+    # C6xC6 has 2,592 tables at d = 3
+    _assert_same_generation(AbelianGroupSpec.from_factors([6, 6]), [7])
+
+
+def test_mask_passes_stay_small_for_many_tables(monkeypatch):
+    # capped C3^4 has 31,104 tables; their masks at once would take
+    # 31,104 x 83 words (20.7 MB), a pass holds about _BLOCK words of them
+    spec = AbelianGroupSpec.from_factors([3, 3, 3, 3])
+    tables = _combined_tables(spec, 3)
+    monkeypatch.setattr(reps, "_combined_tables", lambda *args: tables)
+    tracemalloc.start()
+    try:
+        rows, _ = _canonical_rows(spec, 4, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (190, 4)
+    assert peak < 8e6, peak
 
 
 @pytest.mark.parametrize("factors", [[6], [2, 4]])
