@@ -8,25 +8,22 @@ An input the job does not take is an input error.
 
 Exit codes: 0 decisive/pass, 1 mismatch against expectations, 2 input error,
 3 budget or cap exhausted.
+
+Each job imports the layers it uses (smooth, invariants, reps, diffrank) in its
+body, so starting the program loads only the corpus and the layers under it.
 """
 
 from __future__ import annotations
 
-import argparse
-import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import corpus
 from .forms import CycMatrix, Form, fixes
 from .groups import CapExceeded, DEFAULT_CAP, MatGroup, closure, projective_order, scalar_subgroup
-from .invariants import (_factor_and_character, covering_lift, invariant_forms,
-                         symplectic_order)
-from .reps import AbelianGroupSpec, classify, enumerate_diagonal_reps
-from .smooth import DEFAULT_BUDGET, is_smooth
 
 EXIT_CODES = {"PASS": 0, "FAIL": 1, "EXHAUSTED": 3}
 EXIT_INPUT = 2
@@ -35,8 +32,7 @@ EXIT_INPUT = 2
 VERIFY_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     status: str  # PASS | FAIL | EXHAUSTED; an input error raises instead
     result: object  # the `result` of the task's `cubicsym run` line
     lines: tuple  # what the subcommand prints
@@ -47,6 +43,7 @@ def _against(got, expect) -> str:
 
 
 def _call(job, inputs: dict) -> Outcome:
+    import inspect
     try:
         inspect.signature(job).bind(**inputs)
     except TypeError as ex:
@@ -63,14 +60,16 @@ def _read_group(path: str) -> MatGroup:
 
 
 def _spec(abelian) -> AbelianGroupSpec:
+    from .reps import AbelianGroupSpec
     return AbelianGroupSpec.from_factors([int(x) for x in str(abelian).split(",") if x])
 
 
 # -- the jobs --------------------------------------------------------------------
 
 
-def job_smooth(form: str, budget: int = DEFAULT_BUDGET, expect: str | None = None) -> Outcome:
-    res = is_smooth(_read_form(form), budget=budget)
+def job_smooth(form: str, budget: int | None = None, expect: str | None = None) -> Outcome:
+    from .smooth import DEFAULT_BUDGET, is_smooth
+    res = is_smooth(_read_form(form), budget=DEFAULT_BUDGET if budget is None else budget)
     if res.status == "exhausted":
         return Outcome("EXHAUSTED", res.status, ("EXHAUSTED",))
     line = "SMOOTH" if res.status == "smooth" else f"SINGULAR {res.witness}"
@@ -102,12 +101,14 @@ def job_check_invariance(group: str, form: str) -> Outcome:
 
 
 def job_invariants(group: str, degree: int = 3, expect: int | None = None) -> Outcome:
+    from .invariants import invariant_forms
     space = invariant_forms(list(_read_group(group).generators), degree)
     lines = (f"dimension {space.dimension}", *(b.encode().rstrip("\n") for b in space.basis))
     return Outcome(_against(space.dimension, expect), space.dimension, lines)
 
 
 def job_symplectic(matrix: str, form: str, expect: bool | None = None) -> Outcome:
+    from .invariants import _factor_and_character
     a = CycMatrix.parse(Path(matrix).read_text())
     f = _read_form(form)
     lam, chi = _factor_and_character(a, f)  # raises unless A(F) = lambda*F
@@ -118,6 +119,7 @@ def job_symplectic(matrix: str, form: str, expect: bool | None = None) -> Outcom
 
 def job_reps_count(abelian: str, vars: int = 7, degree: int = 3,
                    witness_dir: str | None = None, expect: int | None = None) -> Outcome:
+    from .reps import classify
     report = classify(_spec(abelian), vars, degree)
     bound = "" if report.total_exact else "≤ "
     lines = [f"classes {bound}{report.total_classes} accepted {report.accepted} "
@@ -138,6 +140,7 @@ def job_reps_count(abelian: str, vars: int = 7, degree: int = 3,
 
 
 def job_reps_classes(abelian: str, vars: int = 7, degree: int = 3) -> Outcome:
+    from .reps import enumerate_diagonal_reps
     classes = enumerate_diagonal_reps(_spec(abelian), vars, degree)
     return Outcome("PASS", len(classes),
                    (f"classes {len(classes)}", *(str(rc.exp_matrix) for rc in classes)))
@@ -156,6 +159,8 @@ def runs_closure(rec: corpus.ExampleRecord, cap: int) -> bool:
 
 def job_verify(id: str, cap: int = VERIFY_CAP) -> Outcome:
     """Check a corpus record against its recorded expectations."""
+    from .invariants import symplectic_order
+    from .smooth import is_smooth
     if cap < 1:
         raise ValueError(f"the cap must be at least 1, got {cap}")
     rec = corpus.record(id)
@@ -254,6 +259,7 @@ def job_partition(form: str, group: str | None = None) -> Outcome:
 
 
 def job_lift(group: str, degree: int = 3, form: str | None = None) -> Outcome:
+    from .invariants import covering_lift
     f = _read_form(form) if form else None
     lifted = covering_lift(list(_read_group(group).generators), degree, form=f)
     return Outcome("PASS", None, (MatGroup(lifted).encode().rstrip("\n"),))
@@ -284,6 +290,8 @@ def _run_task(task: dict) -> dict:
 
 
 def job_run(manifest: str) -> Outcome:
+    # loaded before the first task, so no task's elapsed time holds an import
+    from . import invariants, reps, smooth  # noqa: F401
     tasks = json.loads(Path(manifest).read_text())
     if isinstance(tasks, dict):
         tasks = tasks["tasks"]
@@ -297,6 +305,7 @@ def job_run(manifest: str) -> Outcome:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     p = argparse.ArgumentParser(prog="cubicsym",
                                 description="Exact symmetry computations for cubic hypersurfaces")
     sub = p.add_subparsers(dest="command", required=True)

@@ -18,9 +18,9 @@ full projective group and fix the form exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .forms import CycMatrix, Form
 from .groups import MatGroup
@@ -69,8 +69,7 @@ _TABLE: dict[str, tuple[int, int | None, int | None, bool, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExampleRecord:
+class ExampleRecord(NamedTuple):
     id: str
     form: Form
     generators: tuple[CycMatrix, ...]

@@ -13,9 +13,8 @@ from itertools import combinations, product
 
 from .cyclo import CycNum, common_conductor, zeta
 from .forms import CycMatrix, Form, monomials, partial
-from .groebner import BudgetExhausted, pure_power_certificate
+from .groebner import DEFAULT_BUDGET, BudgetExhausted, pure_power_certificate
 from .linalg import dense_rank, rank as sparse_rank
-from .smooth import DEFAULT_BUDGET
 
 
 def _falling(e: int, k: int) -> int:

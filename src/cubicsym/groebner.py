@@ -24,6 +24,8 @@ from .cyclo import CycNum
 
 Terms = dict[tuple[int, ...], CycNum | int]
 
+DEFAULT_BUDGET = 1_000_000
+
 
 class BudgetExhausted(Exception):
     def __init__(self, steps: int):
@@ -224,7 +226,7 @@ def _reduce_basis(ring: _Ring, grown) -> list[GPoly]:
             for g in reduced]
 
 
-def buchberger(gens: Sequence[Terms], budget_limit: int = 1_000_000,
+def buchberger(gens: Sequence[Terms], budget_limit: int = DEFAULT_BUDGET,
                modulus: int | None = None) -> list[GPoly]:
     """Reduced graded-reverse-lex Groebner basis of the ideal generated by gens,
     over F_p when modulus = p (gens then hold residues in [0, p))."""
@@ -246,7 +248,7 @@ def _covers(ring: _Ring, grown) -> bool:
     return False
 
 
-def pure_power_certificate(gens: Sequence[Terms], budget_limit: int = 1_000_000,
+def pure_power_certificate(gens: Sequence[Terms], budget_limit: int = DEFAULT_BUDGET,
                            modulus: int | None = None) -> bool:
     """all(pure_power_coverage(buchberger(gens, ...))), from the pair loop of
     `buchberger`: it returns as soon as the leading monomials found so far

@@ -276,14 +276,14 @@ def _twist_shifts(spec: AbelianGroupSpec, d: int) -> list[tuple[int, ...]]:
 
 
 def _combined_tables(spec: AbelianGroupSpec, d: int) -> tuple[np.ndarray, bool]:
-    """The automorphism tables followed by each twist, automorphism-major.
-    Every automorphism fixes 0, so a table's image of 0 names its twist and
-    the tables are distinct."""
+    """The automorphism tables followed by each twist, automorphism-major, in
+    the closure's narrow dtype.  Every automorphism fixes 0, so a table's image
+    of 0 names its twist and the tables are distinct."""
     import numpy as np
     elems, weights = _element_grid(spec)
     auts, complete = _dual_automorphism_tables(spec)
     shifts = np.array(_twist_shifts(spec, d), dtype=np.int64)
-    shift_tabs = (elems + shifts[:, None]) % spec.factors @ weights
+    shift_tabs = ((elems + shifts[:, None]) % spec.factors @ weights).astype(auts.dtype)
     return shift_tabs[:, auts].swapaxes(0, 1).reshape(-1, spec.order), complete
 
 
@@ -414,7 +414,7 @@ def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int) -> tuple[np.ndarray,
         raise ValueError("group too large for column enumeration")
     tables, complete = _combined_tables(spec, d)
     dtype = np.uint16 if order > 255 else np.uint8
-    tables = tables.astype(dtype)
+    tables = tables.astype(dtype, copy=False)
     words = -(-order // 64)
     per_pass = max(1, _BLOCK // ((order + 2) * words))
     rows = np.zeros((1, 0), dtype=dtype)

@@ -39,9 +39,8 @@ from typing import Iterable, Sequence
 
 from .cyclo import modular_embedding
 from .forms import Form, monomials, partial
-from .groebner import BudgetExhausted, buchberger, pure_power_certificate, pure_power_coverage
-
-DEFAULT_BUDGET = 1_000_000
+from .groebner import (DEFAULT_BUDGET, BudgetExhausted, buchberger, pure_power_certificate,
+                       pure_power_coverage)
 
 
 @dataclass(frozen=True)
@@ -204,6 +203,8 @@ def _smooth_mod_p(partials: Sequence[dict], conductor: int, budget: int) -> bool
 
 def is_smooth(f: Form, budget: int = DEFAULT_BUDGET) -> SmoothResult:
     """Decide smoothness of X_F; honest tri-state (smooth/singular/exhausted)."""
+    if budget < 0:
+        raise ValueError(f"the budget must be at least 0, got {budget}")
     if f.is_zero():
         raise ValueError("smoothness of the zero form is undefined")
     if f.degree < 2:

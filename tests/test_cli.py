@@ -212,6 +212,10 @@ def test_subcommands_and_run_share_each_job(exported):
         (["smooth", "--form", x20f], {"task": "smooth", "form": x20f}, "PASS"),
         (["smooth", "--form", x20f, "--budget", "1"],
          {"task": "smooth", "form": x20f, "budget": 1}, "EXHAUSTED"),
+        (["smooth", "--form", x20f, "--budget", "0"],
+         {"task": "smooth", "form": x20f, "budget": 0}, "EXHAUSTED"),
+        (["smooth", "--form", x20f, "--budget", "-1"],
+         {"task": "smooth", "form": x20f, "budget": -1}, "ERROR"),
         (["smooth", "--form", str(e / "missing.form")],
          {"task": "smooth", "form": str(e / "missing.form")}, "ERROR"),
         (["order", "--group", x20g, "--expect", "301"],
@@ -306,8 +310,6 @@ def test_partition_checks_the_group_dimension(exported, capsys):
 
 
 def test_example_verify_closure_follows_the_cap(monkeypatch, capsys):
-    from dataclasses import replace
-
     from cubicsym import cli, corpus
 
     assert main(["example", "verify", "X20", "--cap", "300"]) == 0
@@ -315,7 +317,7 @@ def test_example_verify_closure_follows_the_cap(monkeypatch, capsys):
     x20 = corpus.record("X20")
     # a group larger than its record fails the order check, however it is found
     for cap in (300, 10_000):
-        monkeypatch.setattr(cli.corpus, "record", lambda rid: replace(x20, closure_order=300))
+        monkeypatch.setattr(cli.corpus, "record", lambda rid: x20._replace(closure_order=300))
         assert main(["example", "verify", "X20", "--cap", str(cap)]) == 1
         assert "order: fail" in capsys.readouterr().out
 
@@ -324,16 +326,20 @@ def test_numpy_loads_only_for_the_jobs_that_use_it():
     # the corpus and every job but the closure and the enumerator run
     # without numpy, so a cold start does not pay for its import; nor does it
     # build the support mask tables, which the first smoothness scan builds.
+    # Starting loads no layer that a job imports on first use, nor the
+    # standard modules only the parser and the input check need.
     # Only the rank and partition jobs import diffrank.
     code = """
 import sys
-from cubicsym import cli, corpus, smooth
+from cubicsym import cli, corpus
 ids = corpus.all_ids()
 assert corpus.record.cache_info().currsize == 0  # no file is parsed before use
 records = [corpus.record(rid) for rid in ids]
 assert len(records) == 35, len(records)
-assert "numpy" not in sys.modules
-assert "cubicsym.diffrank" not in sys.modules
+loaded = {"dataclasses", "inspect", "argparse", "numpy", "cubicsym.reps", "cubicsym.smooth",
+          "cubicsym.groebner", "cubicsym.invariants", "cubicsym.diffrank"} & set(sys.modules)
+assert not loaded, loaded
+from cubicsym import smooth
 assert smooth._support_table.cache_info().currsize == 0
 out = cli._run_task({"task": "reps-count", "abelian": "7", "expect": 1})
 assert out["status"] == "PASS", out
@@ -341,5 +347,39 @@ assert "numpy" in sys.modules
 assert "cubicsym.diffrank" not in sys.modules
 """
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+
+
+LAYERS = {"cubicsym.smooth", "cubicsym.reps", "cubicsym.invariants", "cubicsym.diffrank"}
+LAYER_CASES = [  # (task, the layers it loads)
+    ({"task": "order", "group": "x20.group"}, set()),
+    ({"task": "check-invariance", "group": "x20.group", "form": "x20.form"}, set()),
+    ({"task": "smooth", "form": "x20.form"}, {"cubicsym.smooth"}),
+    ({"task": "invariants-dim", "group": "x5.group", "degree": 1}, {"cubicsym.invariants"}),
+    ({"task": "symplectic", "matrix": "a.matrix", "form": "x5p.form"}, {"cubicsym.invariants"}),
+    ({"task": "verify", "id": "X20"}, {"cubicsym.smooth", "cubicsym.invariants"}),
+    ({"task": "reps-count", "abelian": "2"}, {"cubicsym.reps", "cubicsym.smooth"}),
+]
+
+
+@pytest.mark.parametrize("task, loaded", LAYER_CASES, ids=[t["task"] for t, _ in LAYER_CASES])
+def test_a_run_task_loads_only_its_layers(exported, task, loaded):
+    # in a fresh interpreter, each task kind imports its own layers and no other
+    from cubicsym import corpus
+    (exported / "a.matrix").write_text(corpus.record("X5'").generators[0].encode())
+    task = {k: str(exported / v) if k in ("group", "form", "matrix") else v
+            for k, v in task.items()}
+    code = """
+import json, sys
+from cubicsym import cli
+task, loaded, absent = json.loads(sys.argv[1])
+out = cli._run_task(task)
+assert out["status"] == "PASS", out
+assert set(loaded) <= set(sys.modules), loaded
+assert not set(absent) & set(sys.modules), absent
+"""
+    spec = json.dumps([task, sorted(loaded), sorted(LAYERS - loaded)])
+    r = subprocess.run([sys.executable, "-c", code, spec], capture_output=True, text=True,
                        timeout=120)
     assert r.returncode == 0, r.stderr

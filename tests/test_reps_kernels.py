@@ -213,7 +213,7 @@ def _reference_combined_tables(spec, d, auts):
             if s[a].tobytes() not in seen:
                 seen.add(s[a].tobytes())
                 combined.append(s[a])
-    return np.array(combined, dtype=np.int64)
+    return np.array(combined, dtype=np.min_scalar_type(spec.order - 1))
 
 
 def _chains(max_order, chain=()):
@@ -405,8 +405,8 @@ def test_closure_gives_the_scanned_automorphism_tables():
 
 
 def test_automorphism_tables_are_built_narrow():
-    # the closure keeps its tables in the narrowest dtype that holds an index;
-    # _combined_tables widens them again (int64, checked above)
+    # the closure keeps its tables in the narrowest dtype that holds an index,
+    # and _combined_tables keeps that dtype (checked above)
     for factors, dtype in (([6, 6], np.uint8), ([257], np.uint16)):
         tables, _ = reps._dual_automorphism_tables(AbelianGroupSpec.from_factors(factors))
         assert tables.dtype == dtype
