@@ -82,12 +82,6 @@ def job_order(group: str, cap: int = DEFAULT_CAP, expect: int | None = None) -> 
     except CapExceeded as ex:
         line = f"CAP EXCEEDED after {ex.count} elements"
         return Outcome("EXHAUSTED", line, (line,))
-    # closure takes the group to be finite.  A finite set that holds I and is
-    # closed under the invertible generators is the group they generate.
-    elements = set(grp.elements)
-    if any(a * g not in elements for a in grp.elements for g in grp.generators):
-        raise ValueError("the generated group is infinite: its closure mod p "
-                         "is not closed under the generators")
     line = (f"order {grp.order} scalars {scalar_subgroup(grp)} "
             f"projective {projective_order(grp)}")
     return Outcome(_against(grp.order, expect), grp.order, (line,))

@@ -148,6 +148,18 @@ class Form:
         return f"Form(m={self.nvars}, d={self.degree}, N={self.conductor}, {len(self.terms)} terms)"
 
 
+def _row_times(row: Sequence[CycNum], brows: Sequence[Sequence[CycNum]],
+              zero: CycNum) -> tuple[CycNum, ...]:
+    """The row vector row times the matrix with rows brows, all at one conductor."""
+    acc = [zero] * len(brows)
+    for x, brow in zip(row, brows):
+        if not x.is_zero():
+            for j, y in enumerate(brow):
+                if not y.is_zero():
+                    acc[j] = acc[j] + x * y
+    return tuple(acc)
+
+
 class CycMatrix:
     """Square matrix over Q(zeta_N)."""
 
@@ -164,6 +176,13 @@ class CycMatrix:
         self.rows = tuple(
             tuple(c.embed(conductor) for c in r) for r in rows)
         self._hash = None
+
+    @staticmethod
+    def _of(rows: tuple[tuple[CycNum, ...], ...], conductor: int) -> "CycMatrix":
+        # trusts its input: square tuples of CycNum at this conductor
+        a = object.__new__(CycMatrix)
+        a.dim, a.conductor, a.rows, a._hash = len(rows), conductor, rows, None
+        return a
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]], conductor: int = 1) -> "CycMatrix":
@@ -220,23 +239,8 @@ class CycMatrix:
             raise ValueError("dimension mismatch")
         n = common_conductor(self.conductor, other.conductor)
         a, b = self.lift(n), other.lift(n)
-        m = self.dim
         zero = CycNum.zero(n)
-        out = []
-        brows = b.rows
-        for i in range(m):
-            arow = a.rows[i]
-            acc = [zero] * m
-            for k in range(m):
-                x = arow[k]
-                if not x.is_zero():
-                    brow = brows[k]
-                    for j in range(m):
-                        y = brow[j]
-                        if not y.is_zero():
-                            acc[j] = acc[j] + x * y
-            out.append(acc)
-        return CycMatrix(out, n)
+        return CycMatrix._of(tuple(_row_times(r, b.rows, zero) for r in a.rows), n)
 
     def __pow__(self, e: int) -> "CycMatrix":
         if e < 0:

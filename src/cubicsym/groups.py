@@ -2,24 +2,27 @@
 
 Closure is a breadth-first product closure that tells elements apart by
 their images in GL(m, F_p), under the map zeta_N -> r of
-`cyclo.modular_embedding`, and forms one exact product per new element.
-That is exact, not a heuristic.  p = 1 (mod N) is unramified and p >= 3, so
-by Minkowski's lemma the kernel of GL(m, O_P) -> GL(m, F_p) is torsion-free
-(O_P the integers of Q(zeta_N) localized at the prime P above p).  A finite
-G whose generator entries have denominators prime to p lies in GL(m, O_P)
-and meets that kernel trivially, so reduction is injective on G: two
-products with the same image are the same element.  A generator with p in a
-denominator has no image, and closure moves to the next prime below.  The
-element order is the deterministic BFS insertion order for the given
-generator list.
+`cyclo.modular_embedding`, and checks every product exactly.  Each stored
+element is an exact product, and for every stored a and generator g the
+exact a*g is compared with the stored element of its image; a mismatch is a
+ValueError.  So the stored set holds I and is closed under right
+multiplication by the generators, each of which permutes it: it is the
+generated group, which is therefore finite, and its elements have distinct
+images.  A generator with p in a denominator has no image, and closure moves
+to the next prime below.  A finite group never trips the check: p = 1
+(mod N) is unramified and p >= 3, so by Minkowski's lemma the kernel of
+GL(m, O_P) -> GL(m, F_p) is torsion-free (O_P the integers of Q(zeta_N)
+localized at the prime P above p); a finite G meets it trivially, so
+elements of G with the same image are equal.  The element order is the
+deterministic BFS insertion order for the given generator list.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclo import common_conductor, modular_embedding
-from .forms import CycMatrix
+from .cyclo import CycNum, common_conductor, modular_embedding
+from .forms import CycMatrix, _row_times
 
 DEFAULT_CAP = 300_000
 
@@ -120,13 +123,17 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def closure(gens: Sequence[CycMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
-    """Materialize the generated finite group; raises CapExceeded past the cap.
+    """Materialize the generated group; raises CapExceeded past the cap and
+    ValueError when the group is infinite (see the module docstring).
 
-    The breadth-first search runs on images mod p (see the module docstring)
-    and keys each element by its image's bytes; only a new element gets its
-    exact matrix, as its parent times the generator.  The group must be
-    finite: an infinite one is cut down to its image mod p, as
-    [[1, p], [0, 1]], which closes to the identity alone.
+    The breadth-first search runs on images mod p and keys each element by
+    its image's bytes.  The exact side shares values: each distinct entry is
+    one CycNum and each distinct row one tuple.  Row i of a*g is (row i of
+    a)*g, so each distinct row is multiplied by each generator once, and
+    every product a*g, new or seen, is formed from those rows; a seen one is
+    compared with the stored element row by row, which is an identity check.
+    [[1, p], [0, 1]] reduces to I mod p and fails that check; a failed check
+    raises once the search ends, so a cap reached first still wins.
     """
     import numpy as np
     if cap < 1:
@@ -136,29 +143,49 @@ def closure(gens: Sequence[CycMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
         if g.det().is_zero():
             raise ValueError("generators must be invertible")
     images, p = _modular_images(group.generators, group.conductor)
-    ident = CycMatrix.identity(group.dimension, group.conductor)
+    n = group.conductor
+    zero = CycNum.zero(n)
+    values, rows = {}, {}  # the shared object of each distinct entry and row
+    caches = [{} for _ in group.generators]  # per generator g: id(row) -> row * g
+
+    def share(row) -> tuple:
+        row = tuple(values.setdefault(c, c) for c in row)
+        return rows.setdefault(row, row)
+
+    def times(row: tuple, g: CycMatrix, cache: dict) -> tuple:
+        out = cache.get(id(row))
+        if out is None:
+            out = cache[id(row)] = share(_row_times(row, g.rows, zero))
+        return out
+
+    ident = CycMatrix._of(tuple(map(share, CycMatrix.identity(group.dimension, n).rows)), n)
     one = np.eye(group.dimension, dtype=np.int64)
-    seen = {one.tobytes()}
-    ordered = [ident]
-    frontier = [ident]
-    frontier_images = one[None]
+    seen = {one.tobytes(): ident.rows}
+    ordered, frontier, frontier_images, closed = [ident], [ident], one[None], True
     while frontier:
         nxt, nxt_images = [], []
         products = [_matmul_mod(frontier_images, h, p) for h in images]
         for i, a in enumerate(frontier):
-            for g, prod in zip(group.generators, products):
+            for g, cache, prod in zip(group.generators, caches, products):
+                exact = tuple(times(r, g, cache) for r in a.rows)
                 b = prod[i]
                 key = b.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    x = a * g
+                known = seen.get(key)
+                if known is None:
+                    seen[key] = exact
+                    x = CycMatrix._of(exact, n)
                     ordered.append(x)
                     nxt.append(x)
                     nxt_images.append(b)
                     if len(ordered) > cap:
                         raise CapExceeded(len(ordered))
+                elif exact != known:  # shared rows: equal rows are identical
+                    closed = False
         frontier = nxt
         frontier_images = np.array(nxt_images)
+    if not closed:
+        raise ValueError("the generated group is infinite: its closure mod p "
+                         "is not closed under the generators")
     return MatGroup(group.generators, elements=tuple(ordered))
 
 

@@ -238,27 +238,26 @@ def _dual_automorphism_tables(spec: AbelianGroupSpec) -> tuple[np.ndarray, bool]
     else:
         seeds += [np.eye(k, dtype=np.int64)[[*range(j), j + 1, j, *range(j + 2, k)]]
                   for j in range(k - 1) if factors[j] == factors[j + 1]]
-    # the list, the keys and the stack hold the narrowest dtype that fits an index;
-    # a table is widened once to index with, as numpy would on every gather
+    # each table is held once, narrow, as a key of the insertion-ordered seen
+    # (joined into a bytearray, so the result is writable); it is widened once
+    # to index with, as numpy would on every gather
     dtype = np.min_scalar_type(spec.order - 1)
     base = [table(img).astype(dtype) for img in seeds]
-    ident = np.arange(spec.order, dtype=dtype)
-    seen = {ident.tobytes()}
-    tables = [ident]
+    ident = np.arange(spec.order, dtype=dtype).tobytes()
+    seen = {ident: None}
     frontier = [ident]
-    while frontier and (complete or len(tables) < 20_000):
+    while frontier and (complete or len(seen) < 20_000):
         nxt = []
         for t in frontier:
-            t = t.astype(np.intp)
+            t = np.frombuffer(t, dtype).astype(np.intp)
             for b in base:
-                c = b[t]
-                key = c.tobytes()
+                key = b[t].tobytes()
                 if key not in seen:
-                    seen.add(key)
-                    tables.append(c)
-                    nxt.append(c)
+                    seen[key] = None
+                    nxt.append(key)
         frontier = nxt
-    tables = np.stack(tables)
+    tables = np.frombuffer(bytearray().join(seen), dtype).reshape(len(seen), spec.order)
+    del seen, frontier
     if complete:
         # lexsort's last key is its primary one: keys are the images of e_k..e_1
         tables = tables[np.lexsort(tables[:, weights[::-1]].T)]

@@ -17,7 +17,7 @@ def run_cli(args):
 @pytest.fixture(scope="module")
 def exported(tmp_path_factory):
     d = tmp_path_factory.mktemp("corpus")
-    for rid in ("X20", "X5", "X5'"):
+    for rid in ("X20", "X5", "X5'", "X9"):
         assert main(["example", "export", rid, "--dir", str(d)]) == 0
     return d
 
@@ -282,6 +282,17 @@ def test_order_rejects_an_infinite_group(tmp_path, exported, capsys):
     assert capsys.readouterr().out == ""
     assert main(["order", "--group", str(exported / "x20.group")]) == 0
     assert capsys.readouterr().out.startswith("order 301 ")
+
+
+def test_readme_commands_close_x9(exported, capsys):
+    # README: verify computes a group recorded up to --cap, and order closes
+    # the exported group, each in about a second
+    assert main(["example", "verify", "X9", "--cap", "20000"]) == 0
+    out = capsys.readouterr().out
+    assert "order: pass (closure 12960, expected 12960)" in out
+    assert "projective-order: pass (projective 12960, expected 12960)" in out
+    assert main(["order", "--group", str(exported / "x9.group"), "--expect", "12960"]) == 0
+    assert capsys.readouterr().out == "order 12960 scalars 1 projective 12960\n"
 
 
 def test_order_rejects_a_cap_below_one(tmp_path, capsys):

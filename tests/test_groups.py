@@ -128,6 +128,29 @@ def test_closure_moves_past_a_prime_in_a_denominator():
     assert dihedral.elements == _exact_closure([swap, sign], 100)
 
 
+def test_closure_rejects_an_infinite_group():
+    # the shear reduces to I mod p, so its products are checked against I
+    p = modular_embedding(1).p
+    shear = CycMatrix.from_rows([[1, p], [0, 1]])
+    sign = CycMatrix.from_rows([[-1, 0], [0, 1]])
+    for gens in ([shear], [sign, shear], [shear, sign]):
+        with pytest.raises(ValueError, match="infinite"):
+            closure(gens)
+    # the check is decided when the search ends, so a cap reached first wins
+    with pytest.raises(CapExceeded) as ex:
+        closure([shear, sign], cap=1)
+    assert ex.value.count == 2
+
+
+def test_closure_shares_equal_entries_and_rows():
+    g = closure(corpus.record("X15").generators)
+    rows = [r for a in g.elements for r in a.rows]
+    entries = [c for r in rows for c in r]
+    assert len(rows) == 7056
+    assert len({id(r) for r in rows}) == len(set(rows)) == 570
+    assert len({id(c) for c in entries}) == len(set(entries)) == 146
+
+
 def test_closure_rejects_singular_generator():
     z = CycNum.zero(1)
     bad = CycMatrix([[CycNum.one(1), z], [z, z]], 1)
