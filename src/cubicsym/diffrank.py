@@ -94,7 +94,7 @@ def transport_map(a: CycMatrix, l) -> tuple[CycNum, ...]:
 @dataclass(frozen=True)
 class S1Result:
     status: str  # yes | no | exhausted
-    witness: tuple[CycNum, ...] | None = None
+    witness: tuple[CycNum, ...] | None = None  # None on a yes the minor ideal decides
 
 
 def _third_derivative_tensor(f: Form) -> list[list[list[CycNum]]]:
@@ -146,10 +146,19 @@ def _candidate_vectors(m: int, n: int):
 
 def s1_non_empty(f: Form, budget: int = DEFAULT_BUDGET) -> S1Result:
     """Solvability of the rank-1 locus for a smooth cubic (first characteristic
-    set non-empty).  Witness search first, then the 2x2-minor ideal decides the
-    negative case; smoothness of F rules out the rank-0 branch."""
+    set non-empty).  Smoothness is decided first: on a smooth F no l != 0 has
+    rank 0 (D_l F = 0 would make X_F a cone), so rank <= 1 means rank 1.
+    Witness search first, then the 2x2-minor ideal decides: a pure-power
+    cover of its basis means no l != 0, a complete basis without one means
+    some l over Q-bar (no witness then).  Only a spent budget is exhausted."""
+    from .smooth import is_smooth  # loaded here, so rank and partition stay without it
     if f.degree != 3:
         raise ValueError("first characteristic set is implemented for cubics")
+    smooth = is_smooth(f, budget).status
+    if smooth == "singular":
+        raise ValueError("the first characteristic set is decided for smooth cubics only")
+    if smooth == "exhausted":
+        return S1Result("exhausted")
     m = f.nvars
     n = common_conductor(f.conductor, 3)
     fl = f.lift(n)
@@ -179,13 +188,13 @@ def s1_non_empty(f: Form, budget: int = DEFAULT_BUDGET) -> S1Result:
             if q:
                 quadrics.append(q)
     if not quadrics:
-        # gram matrix has rank <= 1 identically; smoothness forces rank exactly 1
+        # gram matrix has rank <= 1 identically, so exactly 1 at e_1
         return S1Result("yes", tuple([CycNum.one(n)] + [CycNum.zero(n)] * (m - 1)))
     try:
         covered = pure_power_certificate(quadrics, budget_limit=budget)
     except BudgetExhausted:
         return S1Result("exhausted")
-    return S1Result("no" if covered else "exhausted")
+    return S1Result("no" if covered else "yes")
 
 
 # -- eigenvalue-based partition witnesses ----------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -40,42 +40,21 @@ class AbelianGroupSpec:
 
     @staticmethod
     def from_factors(factors: Iterable[int]) -> "AbelianGroupSpec":
-        """Normalize an arbitrary direct-product presentation to invariant factors."""
-        primary: dict[int, list[int]] = {}
-        for f in factors:
-            if f < 2:
-                raise ValueError("factors must be >= 2")
-            n, p = f, 2
-            while p * p <= n:
-                if n % p == 0:
-                    q = 1
-                    while n % p == 0:
-                        n //= p
-                        q *= p
-                    primary.setdefault(p, []).append(q)
-                p += 1
-            if n > 1:
-                primary.setdefault(n, []).append(n)
-        if not primary:
+        """Normalize an arbitrary direct-product presentation to invariant
+        factors: C_a x C_b = C_gcd(a,b) x C_lcm(a,b), applied to every pair
+        i < j, leaves a divisibility chain (the Smith form of diag(factors))."""
+        fs = list(factors)
+        if any(f < 2 for f in fs):
+            raise ValueError("factors must be >= 2")
+        if not fs:
             raise ValueError("need at least one factor")
-        depth = max(len(v) for v in primary.values())
-        chain = []
-        for slot in range(depth):
-            val = 1
-            for p, qs in primary.items():
-                qs_sorted = sorted(qs, reverse=True)
-                if slot < len(qs_sorted):
-                    val *= qs_sorted[slot]
-            chain.append(val)
-        chain.reverse()
-        return AbelianGroupSpec(tuple(chain))
+        for i, j in combinations(range(len(fs)), 2):
+            fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])
+        return AbelianGroupSpec(tuple(f for f in fs if f > 1))
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return prod(self.factors)
 
     @property
     def exponent(self) -> int:
@@ -119,25 +98,15 @@ class RepClass:
 
 
 def _diagonal_subgroup(rep: RepClass) -> tuple[int, list[tuple[int, ...]]]:
-    """The finite diagonal group <rho(G), zeta_d I> as a subgroup of (Z/L)^m."""
+    """The finite diagonal group <rho(G), zeta_d I> as a subgroup of (Z/L)^m.
+    It is abelian, so <g_1..g_r> = {sum c_i g_i : 0 <= c_i < ord g_i}; each
+    generator's order divides its factor, and that of zeta_d I divides d."""
     L = lcm(rep.spec.exponent, rep.d)
-    gens = []
-    for j, nj in enumerate(rep.spec.factors):
-        step = L // nj
-        gens.append(tuple((rep.exp_matrix[j][c] * step) % L for c in range(rep.m)))
-    gens.append(tuple([L // rep.d] * rep.m))
-    seen = {tuple([0] * rep.m)}
-    frontier = [tuple([0] * rep.m)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % L for a, b in zip(x, g))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return L, sorted(seen)
+    gens = [[x * (L // nj) for x in row] for nj, row in zip(rep.spec.factors, rep.exp_matrix)]
+    gens.append([L // rep.d] * rep.m)
+    coeffs = product(*map(range, rep.spec.factors + (rep.d,)))
+    return L, sorted({tuple(sum(c * g[col] for c, g in zip(cs, gens)) % L for col in range(rep.m))
+                      for cs in coeffs})
 
 
 def _min_columns(elements: list[tuple[int, ...]], m: int) -> tuple:
@@ -184,21 +153,13 @@ def canonicalize(rep: RepClass) -> tuple:
     return (L, rep.m, _min_columns(elements, rep.m))
 
 
-def _first_per_class(classes: Iterable[RepClass]) -> list[RepClass]:
-    """The first class of each canonical encoding, in the order given."""
-    by_canonical: dict[tuple, RepClass] = {}
-    for rc in classes:
-        by_canonical.setdefault(canonicalize(rc), rc)
-    return list(by_canonical.values())
-
-
 # -- enumeration -------------------------------------------------------------
 
 
 def _element_grid(spec: AbelianGroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """The elements as an (order, k) array in the order of spec.elements(), and
     the weights taking an element to its index there (the index of e_j is the
-    j-th weight)."""
+    j-th weight).  This is the one map from elements to indices."""
     import numpy as np
     factors = spec.factors
     weights = [spec.order // prod(factors[:j + 1]) for j in range(len(factors))]
@@ -264,14 +225,11 @@ def _dual_automorphism_tables(spec: AbelianGroupSpec) -> tuple[np.ndarray, bool]
     return tables, complete
 
 
-def _twist_shifts(spec: AbelianGroupSpec, d: int) -> list[tuple[int, ...]]:
-    """The d-torsion elements of the dual group: scalar twists preserved by
-    d-equivalence."""
-    ranges = []
-    for nj in spec.factors:
-        g = gcd(nj, d)
-        ranges.append([(nj // g) * t for t in range(g)])
-    return [tuple(t) for t in product(*ranges)]
+def _twist_shifts(spec: AbelianGroupSpec, d: int) -> np.ndarray:
+    """The d-torsion elements of the dual group, as rows of the element grid:
+    scalar twists preserved by d-equivalence."""
+    elems, _ = _element_grid(spec)
+    return elems[(d * elems % spec.factors == 0).all(axis=1)]
 
 
 def _combined_tables(spec: AbelianGroupSpec, d: int) -> tuple[np.ndarray, bool]:
@@ -281,7 +239,7 @@ def _combined_tables(spec: AbelianGroupSpec, d: int) -> tuple[np.ndarray, bool]:
     import numpy as np
     elems, weights = _element_grid(spec)
     auts, complete = _dual_automorphism_tables(spec)
-    shifts = np.array(_twist_shifts(spec, d), dtype=np.int64)
+    shifts = _twist_shifts(spec, d)
     shift_tabs = ((elems + shifts[:, None]) % spec.factors @ weights).astype(auts.dtype)
     return shift_tabs[:, auts].swapaxes(0, 1).reshape(-1, spec.order), complete
 
@@ -394,12 +352,6 @@ def _listed_children(cols: list[np.ndarray], rejected: np.ndarray, order: int, d
     return buf.T
 
 
-def _require_shape(m: int, d: int) -> None:
-    # level 0 of the generation is its one empty row, which is no class
-    if m < 1 or d < 1:
-        raise ValueError(f"need at least one variable and degree at least 1, got {m} and {d}")
-
-
 def _canonical_rows(spec: AbelianGroupSpec, m: int, d: int) -> tuple[np.ndarray, bool]:
     """Orderly generation of canonical column-multiset rows (indices into the
     dual-group element list); a row survives only when no transform gives a
@@ -440,21 +392,18 @@ def _character_tables(spec: AbelianGroupSpec) -> list[np.ndarray]:
     means all chosen columns agree.  The g with scalar image form a subgroup,
     and a nontrivial subgroup has a subgroup of prime order."""
     import numpy as np
-    elems = spec.elements()
+    elems, _ = _element_grid(spec)
     factors = spec.factors
     L = spec.exponent
     steps = [L // nj for nj in factors]
     out = []
     seen = set()
-    for g in elems:
+    for g in elems.tolist():
         p = lcm(*(f // gcd(x, f) for x, f in zip(g, factors)))
-        if g in seen or p == 1 or any(p % q == 0 for q in range(2, p)):
+        if tuple(g) in seen or p == 1 or any(p % q == 0 for q in range(2, p)):
             continue
         seen.update(tuple(k * x % f for x, f in zip(g, factors)) for k in range(p))
-        vals = np.array(
-            [sum(c[j] * g[j] * steps[j] for j in range(len(factors))) % L
-             for c in elems], dtype=np.min_scalar_type(L))
-        out.append(vals)
+        out.append((elems @ [x * t for x, t in zip(g, steps)] % L).astype(np.min_scalar_type(L)))
     return out
 
 
@@ -486,14 +435,34 @@ def _valid_mask(rows: np.ndarray, spec: AbelianGroupSpec) -> np.ndarray:
 
 
 def _rows_to_classes(rows: np.ndarray, spec: AbelianGroupSpec, m: int, d: int) -> list[RepClass]:
-    elems = spec.elements()
-    k = len(spec.factors)
-    out = []
-    for row in rows:
-        cols = [elems[int(i)] for i in row]
-        exp = tuple(tuple(c[j] for c in cols) for j in range(k))
-        out.append(RepClass(spec, m, d, exp))
-    return out
+    # tolist keeps the exponents Python ints, which print without a numpy type
+    elems, _ = _element_grid(spec)
+    return [RepClass(spec, m, d, tuple(map(tuple, exp)))
+            for exp in elems[rows].transpose(0, 2, 1).tolist()]
+
+
+def _valid_rows(spec: AbelianGroupSpec, m: int, d: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The canonical rows, the mask of the valid ones, and whether the symmetry
+    tables were complete.  The rows are not copied: C9xC5 has 1.6M valid ones."""
+    # level 0 of the generation is its one empty row, which is no class
+    if m < 1 or d < 1:
+        raise ValueError(f"need at least one variable and degree at least 1, got {m} and {d}")
+    rows, complete = _canonical_rows(spec, m, d)
+    return rows, _valid_mask(rows, spec), complete
+
+
+def _distinct_classes(rows: np.ndarray, spec: AbelianGroupSpec, m: int, d: int,
+                      complete: bool) -> tuple[list[RepClass], int]:
+    """The classes of the rows, the first of each canonical encoding, and the
+    number of repeats dropped.  Complete tables leave no repeats; a subgroup of
+    the dual symmetries may, so the deduplication then finishes exactly."""
+    classes = _rows_to_classes(rows, spec, m, d)
+    if complete:
+        return classes, 0
+    by_canonical: dict[tuple, RepClass] = {}
+    for rc in classes:
+        by_canonical.setdefault(canonicalize(rc), rc)
+    return list(by_canonical.values()), len(classes) - len(by_canonical)
 
 
 ENUM_MATERIALIZE_CAP = 200_000
@@ -507,16 +476,12 @@ def enumerate_diagonal_reps(spec: AbelianGroupSpec, m: int, d: int) -> list[RepC
     classify(), which keeps the bulk of the work vectorized.
     """
     import numpy as np
-    _require_shape(m, d)
-    rows, complete = _canonical_rows(spec, m, d)
-    valid = _valid_mask(rows, spec)
+    rows, valid, complete = _valid_rows(spec, m, d)
     count = int(np.count_nonzero(valid))
     if count > ENUM_MATERIALIZE_CAP:
         raise ValueError(f"{count} classes exceed the materialization cap "
                          f"{ENUM_MATERIALIZE_CAP}; count them with `reps --filter` (reps-count)")
-    classes = _rows_to_classes(rows[valid], spec, m, d)
-    # partial symmetry pruning: finish the deduplication exactly
-    return classes if complete else _first_per_class(classes)
+    return _distinct_classes(rows[valid], spec, m, d, complete)[0]
 
 
 # -- the (n,d) filter ---------------------------------------------------------
@@ -642,10 +607,9 @@ def _bulk_square_mask(rows: np.ndarray, spec: AbelianGroupSpec) -> np.ndarray:
     monomial x_i^2 x_j; the complement is exactly the support-level witness
     of kind L38-i."""
     import numpy as np
-    index = {e: i for i, e in enumerate(spec.elements())}
+    elems, weights = _element_grid(spec)
     # x_i^2 x_j is invariant exactly when column j is -2 times column i
-    minus_twice = np.array([index[tuple(-2 * a % f for a, f in zip(e, spec.factors))]
-                            for e in index])
+    minus_twice = -2 * elems % spec.factors @ weights
 
     def block(cols):
         keep = np.ones(cols.shape[1], dtype=bool)
@@ -674,16 +638,10 @@ def classify(spec: AbelianGroupSpec, m: int, d: int) -> ClassificationReport:
     """
     import numpy as np
     _require_cubic(d)
-    _require_shape(m, d)
-    rows, complete = _canonical_rows(spec, m, d)
-    valid = _valid_mask(rows, spec)
+    rows, valid, complete = _valid_rows(spec, m, d)
     total = int(np.count_nonzero(valid))
     survivors = rows[valid & _bulk_square_mask(rows, spec)]
-    bulk_rejected = total - int(survivors.shape[0])
-    classes = _rows_to_classes(survivors, spec, m, d)
-    if not complete:
-        deduped = _first_per_class(classes)
-        total -= len(classes) - len(deduped)
-        classes = deduped
+    classes, repeats = _distinct_classes(survivors, spec, m, d, complete)
     verdicts = filter_to_nd_reps(classes, m - 2, d)
-    return ClassificationReport(spec, m, d, total, bulk_rejected, tuple(verdicts), complete)
+    return ClassificationReport(spec, m, d, total - repeats, total - len(survivors),
+                                tuple(verdicts), complete)

@@ -59,10 +59,6 @@ class SmoothResult:
     status: str  # smooth | singular | exhausted
     witness: NonSmoothWitness | None = None
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.status == "smooth"
-
 
 @lru_cache(maxsize=None)
 def _monomial_masks(m: int) -> tuple[dict[tuple[int, ...], int], list[int], list[int]]:

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from cubicsym.cyclo import CycNum, zeta
-from cubicsym.diffrank import (char_set_member, eigen_partition_witness,
+from cubicsym.diffrank import (S1Result, char_set_member, eigen_partition_witness,
                                eigenvalue_multiset, rank_d, s1_non_empty,
                                support_partition, transport_map)
 from cubicsym.forms import CycMatrix, Form, apply, monomials
 from cubicsym.linalg import rank as sparse_rank
+from cubicsym.smooth import is_smooth
 from tests.test_forms import fermat, rand_cubic, rand_matrix
+from tests.test_smooth import form7
 
 
 # checks that no job calls, kept here as the tests' own helpers
@@ -149,6 +151,28 @@ def test_s1_non_empty_named_forms():
     assert r.status == "yes"
     with pytest.raises(ValueError):
         s1_non_empty(form(2, 2, (1, (2, 0))))
+
+
+def test_s1_without_a_witness_is_decided_by_the_minor_ideal():
+    # Fermat in dense coordinates: the witness search tries small supports
+    # only and finds no l, and the complete basis of the 2x2-minor ideal has
+    # no pure-power cover, so some l over Q-bar has rank <= 1, which F smooth
+    # makes rank 1
+    f = apply(CycMatrix.from_rows([[1, 2, 0], [0, 1, 3], [5, 0, 1]]), fermat(3, conductor=3))
+    assert is_smooth(f).status == "smooth"
+    assert s1_non_empty(f) == S1Result("yes", None)
+
+
+def test_s1_refuses_singular_forms_and_reports_a_spent_budget():
+    # the cone over hstar: its only points of rank <= 1 have rank 0, so
+    # without the smoothness check the minor ideal would give a wrong yes
+    cone = form(4, 3, (1, (3, 0, 0, 0)), (1, (0, 3, 0, 0)), (1, (0, 0, 3, 0)),
+                (LAM, (1, 1, 1, 0)), N=12)
+    with pytest.raises(ValueError):
+        s1_non_empty(cone)
+    klein = form7(*[(1, {i: 2, (i + 1) % 7: 1}) for i in range(7)])
+    assert is_smooth(klein, budget=1).status == "exhausted"
+    assert s1_non_empty(klein, budget=1) == S1Result("exhausted")
 
 
 def test_s1_matches_unpartitionability_at_small_m():

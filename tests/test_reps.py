@@ -1,16 +1,103 @@
 import random
+import re
 from itertools import permutations
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicsym import reps
 from cubicsym.cyclo import zeta
 from cubicsym.forms import Form, fixes, monomials
-from cubicsym.reps import (AbelianGroupSpec, RepClass, _diagonal_subgroup,
-                           accepted_count, canonicalize, classify,
+from cubicsym.reps import (AbelianGroupSpec, RepClass, _diagonal_subgroup, _rows_to_classes,
+                           _valid_rows, accepted_count, canonicalize, classify,
                            enumerate_diagonal_reps, filter_to_nd_reps)
 from cubicsym.smooth import _support_non_smooth, is_smooth, replay
 from tests.test_smooth import _cover_ok, _oracle_scan
+
+
+# the algorithms reps replaced, kept as the tests' oracles
+
+def _reference_from_factors(factors):
+    """Invariant factors by trial division: split every factor into prime
+    powers, then multiply the largest power of each prime, the next largest,
+    and so on, smallest product first."""
+    primary: dict[int, list[int]] = {}
+    for f in factors:
+        if f < 2:
+            raise ValueError("factors must be >= 2")
+        n, p = f, 2
+        while p * p <= n:
+            if n % p == 0:
+                q = 1
+                while n % p == 0:
+                    n //= p
+                    q *= p
+                primary.setdefault(p, []).append(q)
+            p += 1
+        if n > 1:
+            primary.setdefault(n, []).append(n)
+    if not primary:
+        raise ValueError("need at least one factor")
+    depth = max(len(v) for v in primary.values())
+    chain = []
+    for slot in range(depth):
+        val = 1
+        for qs in primary.values():
+            qs_sorted = sorted(qs, reverse=True)
+            if slot < len(qs_sorted):
+                val *= qs_sorted[slot]
+        chain.append(val)
+    return AbelianGroupSpec(tuple(reversed(chain)))
+
+
+def _reference_diagonal_subgroup(rep):
+    """<rho(G), zeta_d I> in (Z/L)^m by breadth-first search from 0, adding
+    one generator at a time."""
+    L = lcm(rep.spec.exponent, rep.d)
+    gens = [tuple(x * (L // nj) % L for x in row)
+            for nj, row in zip(rep.spec.factors, rep.exp_matrix)]
+    gens.append(tuple([L // rep.d] * rep.m))
+    seen = {tuple([0] * rep.m)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = tuple((a + b) % L for a, b in zip(x, g))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return L, sorted(seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-1, 400), max_size=6))
+def test_invariant_factors_match_trial_division(factors):
+    try:
+        want = _reference_from_factors(factors)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            AbelianGroupSpec.from_factors(factors)
+        return
+    assert AbelianGroupSpec.from_factors(factors) == want
+
+
+@pytest.mark.parametrize("factors, cap", [([3, 3], None), ([2, 6], None), ([2, 2], 10)],
+                         ids=["C3xC3", "C2xC6", "C2xC2-capped"])
+def test_diagonal_subgroup_matches_the_search(factors, cap, monkeypatch):
+    # every class the enumeration lists, repeats under capped tables included
+    if cap is not None:
+        monkeypatch.setattr(reps, "AUT_ENUM_CAP", cap)
+    spec = AbelianGroupSpec.from_factors(factors)
+    rows, valid, complete = _valid_rows(spec, 7, 3)
+    assert complete == (cap is None)
+    classes = _rows_to_classes(rows[valid], spec, 7, 3)
+    assert classes
+    for rc in classes:
+        assert _diagonal_subgroup(rc) == _reference_diagonal_subgroup(rc)
 
 
 def test_spec_normalization():
@@ -222,3 +309,27 @@ def test_support_rejections_replay_on_every_sub_support():
             sub = [e for e in supp if rng.random() < 0.5] or [supp[0]]
             member = Form(m, 3, 12, {e: zeta(12, rng.randrange(12)) for e in sub})
             assert replay(w, member), (w, sub)
+
+
+def _is_prime(p):
+    return p > 1 and all(p % q for q in range(2, p))
+
+
+def test_prime_orders_acting_on_smooth_cubic_fivefolds():
+    """C_p acts on a smooth cubic fivefold exactly for p in {2, 3, 5, 7, 11, 43}
+    among the primes p <= 43.
+
+    The phi-cycle lemma: x_i^2 x_j is invariant exactly when column j is -2
+    times column i, and a smooth invariant cubic needs some x_i^2 x_j for
+    every i (L38-i), so its set of columns is closed under phi(c) = -2c.  For
+    p odd, phi permutes Z/p; a faithful rep has a nonzero column c, which lies
+    on a phi-cycle inside the at most 7 columns, of length k <= 7.  Then
+    ((-2)^k - 1) c = 0, so p divides (-2)^k - 1, one of 3, 3, 9, 15, 33, 63,
+    129, and p is 3, 5, 7, 11 or 43.  Compare Gonzalez-Aguilera & Liendo 2011
+    (Arch. Math. 97) on automorphisms of prime order of smooth cubic n-folds."""
+    cycle_primes = {p for k in range(1, 8) for p in range(5, 130)
+                    if _is_prime(p) and ((-2) ** k - 1) % p == 0}
+    assert cycle_primes <= {5, 7, 11, 43}
+    acting = {p for p in range(2, 44) if _is_prime(p)
+              and classify(AbelianGroupSpec((p,)), 7, 3).accepted > 0}
+    assert acting == {2, 3, 5, 7, 11, 43}
