@@ -82,8 +82,8 @@ def job_order(group: str, cap: int = DEFAULT_CAP, expect: int | None = None) -> 
     except CapExceeded as ex:
         line = f"CAP EXCEEDED after {ex.count} elements"
         return Outcome("EXHAUSTED", line, (line,))
-    line = (f"order {grp.order} scalars {scalar_subgroup(grp)} "
-            f"projective {projective_order(grp)}")
+    scalars = scalar_subgroup(grp)  # one scan: projective_order would scan again
+    line = f"order {grp.order} scalars {scalars} projective {grp.order // scalars}"
     return Outcome(_against(grp.order, expect), grp.order, (line,))
 
 

@@ -1,27 +1,30 @@
 """Finitely generated finite matrix groups over Q(zeta_N).
 
-Closure is a breadth-first product closure that tells elements apart by
-their images in GL(m, F_p), under the map zeta_N -> r of
-`cyclo.modular_embedding`, and checks every product exactly.  Each stored
-element is an exact product, and for every stored a and generator g the
-exact a*g is compared with the stored element of its image; a mismatch is a
-ValueError.  So the stored set holds I and is closed under right
-multiplication by the generators, each of which permutes it: it is the
-generated group, which is therefore finite, and its elements have distinct
-images.  A generator with p in a denominator has no image, and closure moves
-to the next prime below.  A finite group never trips the check: p = 1
-(mod N) is unramified and p >= 3, so by Minkowski's lemma the kernel of
-GL(m, O_P) -> GL(m, F_p) is torsion-free (O_P the integers of Q(zeta_N)
-localized at the prime P above p); a finite G meets it trivially, so
-elements of G with the same image are equal.  The element order is the
-deterministic BFS insertion order for the given generator list.
+Closure is a breadth-first product closure on exact elements, run as a
+permutation action: row i of a*g is (row i of a)*g, so the group acts on the
+orbit of the rows e_i*a, and each generator is a table from row id to the
+id of row*g (Seress 2003, orbit algorithms).  An element is the tuple of its
+m row ids, and a*g is read off the tables, so whether a product is new is
+decided exactly.  Each new element also gets its image in GL(m, F_p), under
+the map zeta_N -> r of `cyclo.modular_embedding`.  A new element whose image
+was seen is not stored, and makes the closure a ValueError once the search
+ends; so the stored images are distinct, and the search ends.  When no image
+repeats, the stored set holds I and is closed under right multiplication by
+the generators, each of which permutes it: it is the generated group, which
+is therefore finite.  A generator with p in a denominator has no image, and
+closure moves to the next prime below.  A finite group never repeats an
+image: p = 1 (mod N) is unramified and p >= 3, so by Minkowski's lemma the
+kernel of GL(m, O_P) -> GL(m, F_p) is torsion-free (O_P the integers of
+Q(zeta_N) localized at the prime P above p), and a finite G meets it
+trivially.  The element order is the deterministic BFS insertion order for
+the given generator list.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclo import CycNum, common_conductor, modular_embedding
+from .cyclo import CycNum, ModularEmbedding, common_conductor, modular_embedding
 from .forms import CycMatrix, _row_times
 
 DEFAULT_CAP = 300_000
@@ -98,91 +101,77 @@ class MatGroup:
         return MatGroup(gens)
 
 
-def _modular_images(gens: Sequence[CycMatrix], n: int) -> tuple[np.ndarray, int]:
-    """Images of the generators mod the largest prime p = 1 (mod n) below
-    2^31 that divides none of their denominators, as an int64 (k, m, m) array."""
-    import numpy as np
+def _embedding(gens: Sequence[CycMatrix], n: int) -> ModularEmbedding:
+    """The embedding mod the largest prime p = 1 (mod n) below 2^31 that
+    divides none of the generators' denominators."""
     emb = modular_embedding(n)
-    while True:
-        images = [[emb(c) for row in g.rows for c in row] for g in gens]
-        if all(v is not None for img in images for v in img):
-            m = gens[0].dim
-            return np.array(images, dtype=np.int64).reshape(len(gens), m, m), emb.p
+    while any(emb(c) is None for g in gens for row in g.rows for c in row):
         emb = modular_embedding(n, emb.p)
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for a stack a of shape (k, m, m); entries stay below p < 2^31,
-    so each partial sum stays below p + p^2 < 2^63."""
-    import numpy as np
-    out = np.zeros_like(a)
-    for j in range(b.shape[0]):
-        out += a[:, :, j, None] * b[j]
-        out %= p
-    return out
+    return emb
 
 
 def closure(gens: Sequence[CycMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
     """Materialize the generated group; raises CapExceeded past the cap and
     ValueError when the group is infinite (see the module docstring).
 
-    The breadth-first search runs on images mod p and keys each element by
-    its image's bytes.  The exact side shares values: each distinct entry is
-    one CycNum and each distinct row one tuple.  Row i of a*g is (row i of
-    a)*g, so each distinct row is multiplied by each generator once, and
-    every product a*g, new or seen, is formed from those rows; a seen one is
-    compared with the stored element row by row, which is an identity check.
-    [[1, p], [0, 1]] reduces to I mod p and fails that check; a failed check
-    raises once the search ends, so a cap reached first still wins.
+    Each distinct exact row gets an id when first seen, and its image mod p
+    then; equal entries and rows are shared.  A generator's table is filled
+    at the start of each BFS level for the rows known then, so each distinct
+    row is multiplied by each generator once, and an infinite group never
+    forces the whole row orbit.  Only a new element has its image key built,
+    from its rows' image ids.  [[1, p], [0, 1]] has the image of I; a
+    repeated image raises once the search ends, so a cap reached first wins.
     """
-    import numpy as np
     if cap < 1:
         raise ValueError(f"the cap must be at least 1, got {cap}")
     group = MatGroup(gens)
     for g in group.generators:
         if g.det().is_zero():
             raise ValueError("generators must be invertible")
-    images, p = _modular_images(group.generators, group.conductor)
     n = group.conductor
+    emb = _embedding(group.generators, n)
     zero = CycNum.zero(n)
-    values, rows = {}, {}  # the shared object of each distinct entry and row
-    caches = [{} for _ in group.generators]  # per generator g: id(row) -> row * g
+    values, ids, images = {}, {}, {}  # shared entries; row -> id; image row -> id
+    rows, row_images = [], []  # by row id: the shared row, its image's id
 
-    def share(row) -> tuple:
+    def intern(row) -> int:
         row = tuple(values.setdefault(c, c) for c in row)
-        return rows.setdefault(row, row)
+        i = ids.get(row)
+        if i is None:
+            i = ids[row] = len(rows)
+            rows.append(row)
+            row_images.append(images.setdefault(tuple(map(emb, row)), len(images)))
+        return i
 
-    def times(row: tuple, g: CycMatrix, cache: dict) -> tuple:
-        out = cache.get(id(row))
-        if out is None:
-            out = cache[id(row)] = share(_row_times(row, g.rows, zero))
-        return out
+    def element(key: tuple) -> CycMatrix:
+        return CycMatrix._of(tuple(map(rows.__getitem__, key)), n)
 
-    ident = CycMatrix._of(tuple(map(share, CycMatrix.identity(group.dimension, n).rows)), n)
-    one = np.eye(group.dimension, dtype=np.int64)
-    seen = {one.tobytes(): ident.rows}
-    ordered, frontier, frontier_images, closed = [ident], [ident], one[None], True
+    ident = tuple(map(intern, CycMatrix.identity(group.dimension, n).rows))
+    tables = [[] for _ in group.generators]  # per generator g: row id -> id of row*g
+    seen, seen_images = {ident}, {tuple(map(row_images.__getitem__, ident))}
+    ordered, frontier, closed = [element(ident)], [ident], True
     while frontier:
-        nxt, nxt_images = [], []
-        products = [_matmul_mod(frontier_images, h, p) for h in images]
-        for i, a in enumerate(frontier):
-            for g, cache, prod in zip(group.generators, caches, products):
-                exact = tuple(times(r, g, cache) for r in a.rows)
-                b = prod[i]
-                key = b.tobytes()
-                known = seen.get(key)
-                if known is None:
-                    seen[key] = exact
-                    x = CycMatrix._of(exact, n)
-                    ordered.append(x)
-                    nxt.append(x)
-                    nxt_images.append(b)
-                    if len(ordered) > cap:
-                        raise CapExceeded(len(ordered))
-                elif exact != known:  # shared rows: equal rows are identical
+        known = len(rows)
+        for g, table in zip(group.generators, tables):
+            table.extend(intern(_row_times(rows[i], g.rows, zero))
+                         for i in range(len(table), known))
+        nxt = []
+        for a in frontier:
+            for table in tables:
+                b = tuple(map(table.__getitem__, a))
+                if b in seen:
+                    continue
+                image = tuple(map(row_images.__getitem__, b))
+                if image in seen_images:  # two elements with one image
                     closed = False
+                    continue
+                seen.add(b)
+                seen_images.add(image)
+                ordered.append(element(b))
+                nxt.append(b)
+                if len(ordered) > cap:
+                    raise CapExceeded(len(ordered))
         frontier = nxt
-        frontier_images = np.array(nxt_images)
     if not closed:
         raise ValueError("the generated group is infinite: its closure mod p "
                          "is not closed under the generators")

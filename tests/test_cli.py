@@ -333,11 +333,11 @@ def test_example_verify_closure_follows_the_cap(monkeypatch, capsys):
         assert "order: fail" in capsys.readouterr().out
 
 
-def test_numpy_loads_only_for_the_jobs_that_use_it():
-    # the corpus and every job but the closure and the enumerator run
-    # without numpy, so a cold start does not pay for its import; nor does it
-    # build the support mask tables, which the first smoothness scan builds.
-    # Starting loads no layer that a job imports on first use, nor the
+def test_numpy_loads_only_for_the_jobs_that_use_it(exported):
+    # only the enumerator uses numpy: the corpus, the closure and every other
+    # job run without it, so a cold start does not pay for its import; nor
+    # does it build the support mask tables, which the first smoothness scan
+    # builds. Starting loads no layer that a job imports on first use, nor the
     # standard modules only the parser and the input check need.
     # Only the rank and partition jobs import diffrank.
     code = """
@@ -352,13 +352,17 @@ loaded = {"dataclasses", "inspect", "argparse", "numpy", "cubicsym.reps", "cubic
 assert not loaded, loaded
 from cubicsym import smooth
 assert smooth._support_table.cache_info().currsize == 0
+for task in ({"task": "verify", "id": "X20"}, {"task": "order", "group": sys.argv[1]}):
+    out = cli._run_task(task)
+    assert out["status"] == "PASS", out
+assert "numpy" not in sys.modules
 out = cli._run_task({"task": "reps-count", "abelian": "7", "expect": 1})
 assert out["status"] == "PASS", out
 assert "numpy" in sys.modules
 assert "cubicsym.diffrank" not in sys.modules
 """
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       timeout=120)
+    r = subprocess.run([sys.executable, "-c", code, str(exported / "x20.group")],
+                       capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,13 @@ def test_closure_matches_the_exact_breadth_first_search():
              for rid in ("X3", "X5", "X8", "X10", "X17", "X19", "X20",
                          "X3'", "X5'", "X8'", "X14'")]
     cases.append(klein_generators() + [CycMatrix.scalar(7, zeta(3))])
+    # X8' conjugated by a unimodular integer matrix: all 192 rows are distinct
+    m = 6
+    lower = CycMatrix.from_rows([[int(j <= i) for j in range(m)] for i in range(m)])
+    upper = CycMatrix.from_rows([[max(j - i + 1, 0) for j in range(m)] for i in range(m)])
+    v = (lower * upper).lift(32)
+    vi = v.inv()
+    cases.append([v * g * vi for g in corpus.record("X8'").generators])
     for gens in cases:
         assert closure(gens).elements == _exact_closure(gens, 10_000)
     with pytest.raises(CapExceeded) as ours:
@@ -133,13 +141,29 @@ def test_closure_rejects_an_infinite_group():
     p = modular_embedding(1).p
     shear = CycMatrix.from_rows([[1, p], [0, 1]])
     sign = CycMatrix.from_rows([[-1, 0], [0, 1]])
-    for gens in ([shear], [sign, shear], [shear, sign]):
+    # [[p, 1], [1, 0]] is a swap mod p whose square is I mod p but not I: the
+    # repeated image comes at depth 2, on rows that are not identity rows
+    twist = CycMatrix.from_rows([[p, 1], [1, 0]])
+    for gens in ([shear], [sign, shear], [shear, sign], [twist]):
         with pytest.raises(ValueError, match="infinite"):
             closure(gens)
     # the check is decided when the search ends, so a cap reached first wins
     with pytest.raises(CapExceeded) as ex:
         closure([shear, sign], cap=1)
     assert ex.value.count == 2
+
+
+def test_closure_of_x9_peaks_below_10_mb():
+    # besides the elements, the search keeps one tuple of row ids and one
+    # image key per element, and no numpy arrays
+    gens = corpus.record("X9").generators
+    tracemalloc.start()
+    try:
+        assert closure(gens).order == 12960
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
 
 
 def test_closure_shares_equal_entries_and_rows():
